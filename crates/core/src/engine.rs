@@ -23,19 +23,104 @@ use crate::audit::{audit_world, AuditReport};
 use crate::config::PerigeeConfig;
 use crate::discovery::AddressBook;
 use crate::liveness::{LivenessTracker, PeerHealth};
-use crate::observation::{
-    ObservationBackend, ObservationCollector, RoundStore, SketchObservationStore,
-};
+use crate::observation::{ObservationBackend, ObservationCollector, ObservationStore, RoundStore};
 use crate::score::{ScoringMethod, SelectionStrategy, StatefulSplit};
 use crate::snapshot::{RunSnapshot, SnapshotError};
 
-/// Blocks per dense worker chunk under the sketch observation backend:
-/// recording always fills exact dense chunks, and sketch mode caps them
-/// at this many blocks before folding each into the per-edge sketches —
-/// bounding the round's transient dense memory at
-/// `SKETCH_CHUNK_BLOCKS × edges × 4` bytes per worker regardless of
+/// Blocks each worker floods per window under the sketch observation
+/// backend (the dense backend keeps every row anyway, so it floods a
+/// round's blocks as one window). Every window is folded into the
+/// per-edge sketches before the next one starts, bounding the block
+/// path's transient dense rows at
+/// `workers × SKETCH_CHUNK_BLOCKS × edges × 4` bytes regardless of
 /// `blocks_per_round`.
 const SKETCH_CHUNK_BLOCKS: usize = 8;
+
+/// Messages each worker gossips per window of the traffic phase, on
+/// either backend. A round of thousands of messages thus holds at most
+/// `workers × TRAFFIC_WINDOW × edges × 4` bytes of dense rows at once
+/// before they are appended to (dense) or folded into (sketch) the round
+/// store.
+const TRAFFIC_WINDOW: usize = 128;
+
+/// One worker's reusable state in a windowed fan-out: its simulation
+/// scratch, its dense row buffer and its per-row λ values — all reused
+/// window after window for the whole round.
+struct Lane<S, X> {
+    sim: S,
+    rows: ObservationCollector,
+    lambdas: Vec<X>,
+    /// Per-node count of rows that reached the node (block path only;
+    /// empty on the traffic path).
+    seen: Vec<u32>,
+}
+
+impl<S, X> Lane<S, X> {
+    fn new(sim: S, view: &TopologyView, rows: usize, count_seen: bool) -> Self {
+        let mut collector = ObservationCollector::from_view(view);
+        collector.reserve_blocks(rows);
+        Lane {
+            sim,
+            rows: collector,
+            lambdas: Vec::with_capacity(rows),
+            seen: if count_seen {
+                vec![0; view.len()]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
+/// A block lane's reusable simulation scratch, per propagation mode.
+enum BlockSim {
+    /// Analytic flood, with a shard workspace when sharding is on.
+    Flood(BroadcastScratch, Option<ShardWorkspace>),
+    /// Message-level gossip under the given configuration.
+    Gossip(GossipScratch, GossipConfig),
+}
+
+/// The one fan-out of a round's independent rows (blocks or messages).
+///
+/// Walks `items` in windows of `lanes.len() × per_lane`. Each window
+/// runs in two steps: every lane (one per worker) records its contiguous
+/// slice of the window in parallel — `record(lane, index, slice)`, where
+/// `index` is the slice's first position in `items` — and then the
+/// lanes' rows merge into `store` in lane order, which is row order,
+/// and their λ values go to `emit` in the same order. The merge is an
+/// ordered append (dense) or an edge-parallel fold that replays each
+/// edge's exact sample stream (sketch), so the result is bit-identical
+/// to a sequential loop whatever the lane count or window size.
+fn fan_out_windows<T, S, X>(
+    items: &[T],
+    lanes: &mut [Lane<S, X>],
+    per_lane: usize,
+    store: &mut RoundStore,
+    record: impl Fn(&mut Lane<S, X>, usize, &[T]) + Sync,
+    mut emit: impl FnMut(X),
+) where
+    T: Sync,
+    S: Send,
+    X: Send,
+{
+    let width = lanes.len() * per_lane;
+    for (w, window) in items.chunks(width).enumerate() {
+        let share = window.len().div_ceil(lanes.len());
+        rayon::par_map_chunks_mut(lanes, 1, |k, lane| {
+            let lo = (k * share).min(window.len());
+            let hi = (lo + share).min(window.len());
+            if lo < hi {
+                record(&mut lane[0], w * width + lo, &window[lo..hi]);
+            }
+        });
+        let rows: Vec<&ObservationStore> = lanes.iter().map(|l| l.rows.rows()).collect();
+        store.absorb(&rows, lanes.len());
+        for lane in lanes.iter_mut() {
+            lane.rows.clear();
+            lane.lambdas.drain(..).for_each(&mut emit);
+        }
+    }
+}
 
 /// How the engine simulates block propagation inside a round.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -948,12 +1033,16 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// per-neighbor observations plus per-block λ50/λ90.
     ///
     /// Blocks are independent under the §2.1 model and consume no RNG, so
-    /// each worker pushes a contiguous chunk of blocks through one
+    /// each worker pushes contiguous chunks of blocks through one
     /// [`TopologyView`] snapshot with its own reusable scratch — a
     /// [`BroadcastScratch`] under [`PropagationMode::Analytic`], a
     /// [`GossipScratch`] under [`PropagationMode::Gossip`] — and the
     /// chunks are merged back in block order: the result is bit-identical
-    /// to a sequential loop in either mode.
+    /// to a sequential loop in either mode. The dense backend runs the
+    /// round's blocks as one window; the sketch backend runs windows of
+    /// a few blocks per worker and folds each into the
+    /// per-edge sketches before the next, so its transient dense rows
+    /// stay O(workers × edges).
     pub fn observe_round(&self, miners: &[NodeId]) -> RoundObservations {
         let view = TopologyView::new(&self.topology, &self.latency, &self.population);
         self.observe_round_with(&view, miners)
@@ -987,153 +1076,108 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         faults: Option<&RoundFaults>,
         base_block: usize,
     ) -> RoundObservations {
-        let chunk_count = if self.parallel {
-            rayon::current_num_threads().clamp(1, miners.len().max(1))
-        } else {
-            1
+        let workers = self.workers(miners.len());
+        let backend = self.config.observation_backend;
+        let per_lane = match backend {
+            ObservationBackend::Dense => miners.len().max(1).div_ceil(workers),
+            ObservationBackend::Sketch => miners
+                .len()
+                .max(1)
+                .div_ceil(workers)
+                .min(SKETCH_CHUNK_BLOCKS),
         };
-        let mut chunk_size = miners.len().max(1).div_ceil(chunk_count);
-        if self.config.observation_backend == ObservationBackend::Sketch {
-            // Sketch mode bounds the *transient* dense memory too: every
-            // worker chunk is capped at a constant number of blocks (even
-            // sequentially), so peak usage is O(edges), independent of
-            // blocks-per-round. Chunk size never affects results — the
-            // dense merge is an ordered append and the sketch fold is
-            // chunking-invariant — so this is purely a memory knob.
-            chunk_size = chunk_size.min(SKETCH_CHUNK_BLOCKS);
+        let mut observations = RoundStore::from_view(view, backend, self.config.percentile);
+        if let RoundStore::Dense(store) = &mut observations {
+            store.reserve_blocks(miners.len());
         }
-        // Each chunk carries its block offset so per-block fault keys
-        // stay global: chunking is a scheduling detail, never a semantic
-        // one.
-        let chunks: Vec<(usize, &[NodeId])> = miners
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| (base_block + ci * chunk_size, chunk))
-            .collect();
-
-        type Part = (
-            ObservationCollector,
-            Vec<f64>,
-            Vec<f64>,
-            Vec<u32>,
-            SimCounters,
-        );
-        let parts: Vec<Part> = match self.mode {
-            PropagationMode::Analytic => chunks
-                .par_iter()
-                .map(|&(start, chunk)| {
-                    let mut scratch =
-                        BroadcastScratch::with_capacity_and_queue(view.len(), self.queue);
-                    // Each worker owns a shard workspace (reused across
+        let mut lanes: Vec<Lane<BlockSim, (f64, f64)>> = (0..workers)
+            .map(|_| {
+                let sim = match self.mode {
+                    // A flood lane owns a shard workspace (reused across
                     // its blocks) when flood sharding is on.
-                    let mut shard_ws = (self.shards > 1)
-                        .then(|| ShardWorkspace::with_queue(self.shards, self.queue));
-                    let mut collector = ObservationCollector::from_view(view);
-                    collector.reserve_blocks(chunk.len());
-                    let mut l90 = Vec::with_capacity(chunk.len());
-                    let mut l50 = Vec::with_capacity(chunk.len());
-                    let mut coverage = [SimTime::ZERO; 2];
-                    let mut seen = vec![0u32; view.len()];
-                    for (j, &miner) in chunk.iter().enumerate() {
-                        let bf = faults.map(|rf| rf.block(start + j));
-                        match &mut shard_ws {
-                            Some(ws) => view.broadcast_sharded_into_faulted(
-                                miner,
-                                &mut scratch,
-                                bf.as_ref(),
-                                ws,
-                            ),
-                            None => view.broadcast_into_faulted(miner, &mut scratch, bf.as_ref()),
+                    PropagationMode::Analytic => BlockSim::Flood(
+                        BroadcastScratch::with_capacity_and_queue(view.len(), self.queue),
+                        (self.shards > 1)
+                            .then(|| ShardWorkspace::with_queue(self.shards, self.queue)),
+                    ),
+                    PropagationMode::Gossip(cfg) => BlockSim::Gossip(
+                        GossipScratch::with_capacity_and_queue(
+                            view.len(),
+                            view.directed_edge_count(),
+                            self.queue,
+                        ),
+                        cfg,
+                    ),
+                };
+                Lane::new(sim, view, per_lane, true)
+            })
+            .collect();
+        // Each block's fault pattern is keyed on its global index
+        // `base_block + position`: windowing is a scheduling detail,
+        // never a semantic one.
+        let record = |lane: &mut Lane<BlockSim, _>, start: usize, chunk: &[NodeId]| {
+            let mut coverage = [SimTime::ZERO; 2];
+            for (j, &miner) in chunk.iter().enumerate() {
+                let bf = faults.map(|rf| rf.block(base_block + start + j));
+                let arrivals = match &mut lane.sim {
+                    BlockSim::Flood(scratch, shard_ws) => {
+                        match shard_ws {
+                            Some(ws) => {
+                                view.broadcast_sharded_into_faulted(miner, scratch, bf.as_ref(), ws)
+                            }
+                            None => view.broadcast_into_faulted(miner, scratch, bf.as_ref()),
                         }
                         scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        l90.push(coverage[0].as_ms());
-                        l50.push(coverage[1].as_ms());
-                        for (s, t) in seen.iter_mut().zip(scratch.arrivals()) {
-                            *s += u32::from(t.as_ms().is_finite());
-                        }
                         match &bf {
-                            Some(b) => collector.record_scratch_faulted(view, &scratch, b),
-                            None => collector.record_scratch(view, &scratch),
+                            Some(b) => lane.rows.record_scratch_faulted(view, scratch, b),
+                            None => lane.rows.record_scratch(view, scratch),
                         }
+                        scratch.arrivals()
                     }
-                    let counters = scratch.take_counters();
-                    (collector, l90, l50, seen, counters)
-                })
-                .collect(),
-            PropagationMode::Gossip(cfg) => chunks
-                .par_iter()
-                .map(|&(start, chunk)| {
-                    let mut scratch = GossipScratch::with_capacity_and_queue(
-                        view.len(),
-                        view.directed_edge_count(),
-                        self.queue,
-                    );
-                    let mut collector = ObservationCollector::from_view(view);
-                    collector.reserve_blocks(chunk.len());
-                    let mut l90 = Vec::with_capacity(chunk.len());
-                    let mut l50 = Vec::with_capacity(chunk.len());
-                    let mut coverage = [SimTime::ZERO; 2];
-                    let mut seen = vec![0u32; view.len()];
-                    for (j, &miner) in chunk.iter().enumerate() {
-                        let bf = faults.map(|rf| rf.block(start + j));
-                        view.gossip_into_faulted(miner, &cfg, &mut scratch, bf.as_ref());
+                    BlockSim::Gossip(scratch, cfg) => {
+                        view.gossip_into_faulted(miner, cfg, scratch, bf.as_ref());
                         scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        l90.push(coverage[0].as_ms());
-                        l50.push(coverage[1].as_ms());
-                        for (s, t) in seen.iter_mut().zip(scratch.arrivals()) {
-                            *s += u32::from(t.as_ms().is_finite());
-                        }
                         // The gossip scratch's delivery matrix already
                         // holds the faulted announcement times, so the
                         // fault-free collector reads it unchanged.
-                        collector.record_gossip_scratch(view, &scratch);
+                        lane.rows.record_gossip_scratch(view, scratch);
+                        scratch.arrivals()
                     }
-                    let counters = scratch.take_counters();
-                    (collector, l90, l50, seen, counters)
-                })
-                .collect(),
+                };
+                lane.lambdas
+                    .push((coverage[0].as_ms(), coverage[1].as_ms()));
+                for (s, t) in lane.seen.iter_mut().zip(arrivals) {
+                    *s += u32::from(t.as_ms().is_finite());
+                }
+            }
         };
-
-        // Merge chunks back in block order; per-node seen counts are
-        // integer sums, so elementwise accumulation is order-exact.
-        // Dense mode appends the chunk matrices (one memcpy each); sketch
-        // mode folds each chunk into the per-edge sketches and drops it,
-        // so at most one chunk's matrix is live at a time.
         let mut lambda90_ms = Vec::with_capacity(miners.len());
         let mut lambda50_ms = Vec::with_capacity(miners.len());
+        fan_out_windows(
+            miners,
+            &mut lanes,
+            per_lane,
+            &mut observations,
+            record,
+            |(l90, l50)| {
+                lambda90_ms.push(l90);
+                lambda50_ms.push(l50);
+            },
+        );
+
+        // Per-node seen counts are integer sums and the counters merge
+        // order-independently, so summing the lanes is order-exact.
         let mut seen = vec![0u32; view.len()];
-        let mut dense: Option<ObservationCollector> = None;
-        let mut sketch = match self.config.observation_backend {
-            ObservationBackend::Dense => None,
-            ObservationBackend::Sketch => Some(SketchObservationStore::from_view(
-                view,
-                self.config.percentile,
-            )),
-        };
         let mut counters = SimCounters::ZERO;
-        for (c, l90, l50, s, ctr) in parts {
-            match &mut sketch {
-                Some(sk) => sk.ingest(&c.finish()),
-                None => match &mut dense {
-                    Some(acc) => acc.append(c),
-                    None => dense = Some(c),
-                },
-            }
-            lambda90_ms.extend(l90);
-            lambda50_ms.extend(l50);
-            for (acc, x) in seen.iter_mut().zip(s) {
+        for lane in &mut lanes {
+            for (acc, x) in seen.iter_mut().zip(&lane.seen) {
                 *acc += x;
             }
-            counters.merge(&ctr);
+            counters.merge(&match &mut lane.sim {
+                BlockSim::Flood(scratch, _) => scratch.take_counters(),
+                BlockSim::Gossip(scratch, _) => scratch.take_counters(),
+            });
         }
-        let observations = match sketch {
-            Some(sk) => RoundStore::Sketch(sk),
-            None => RoundStore::Dense(
-                dense
-                    .unwrap_or_else(|| ObservationCollector::from_view(view))
-                    .finish(),
-            ),
-        };
         RoundObservations {
             observations,
             lambda90_ms,
@@ -1143,22 +1187,34 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         }
     }
 
+    /// How many workers (and lanes) a fan-out of `items` independent
+    /// rows uses: one per rayon thread when [`PerigeeEngine::parallel`]
+    /// is set, never more than there are rows, and one otherwise.
+    fn workers(&self, items: usize) -> usize {
+        if self.parallel {
+            rayon::current_num_threads().clamp(1, items.max(1))
+        } else {
+            1
+        }
+    }
+
     /// The traffic phase of a round: pushes `messages` (the round's
     /// transaction stream, in canonical origination order) through the
-    /// snapshot in batched announcement passes, appends every message's
+    /// snapshot in batched announcement passes, adds every message's
     /// observation row behind the rows already in `observations`, and
     /// returns the per-class λ-statistics.
     ///
-    /// Messages are mutually independent like blocks, so the batch is
-    /// split into contiguous chunks fanned out over the rayon pool —
-    /// each worker pushes its chunk through one
-    /// [`TopologyView::gossip_batch_into`] call with its own scratch,
-    /// and chunks merge back in message order: bit-identical to one
-    /// sequential [`TopologyView::gossip_into`] call per message (the
-    /// batch engine's contract), whatever the thread count. Under the
-    /// sketch backend, chunks are capped at [`SKETCH_CHUNK_BLOCKS`]
-    /// messages so the transient dense memory stays O(edges) even
-    /// though a traffic round records thousands of rows.
+    /// Messages are mutually independent like blocks, so the batch fans
+    /// out over the rayon pool in windows of [`TRAFFIC_WINDOW`] messages
+    /// per worker. Each worker keeps one scratch, one row buffer and one
+    /// λ buffer for the whole round and pushes its slice of a window
+    /// through one [`TopologyView::gossip_batch_into`] call; the window's
+    /// rows then merge in message order — appended to the dense store,
+    /// or folded edge-parallel into the sketches — before the next
+    /// window starts. That is bit-identical to one sequential
+    /// [`TopologyView::gossip_into`] call per message (the batch
+    /// engine's contract), whatever the thread count, and holds the
+    /// transient dense rows at one window's worth.
     fn observe_traffic(
         &self,
         view: &TopologyView,
@@ -1168,51 +1224,24 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     ) -> (TrafficRoundStats, SimCounters) {
         let mut batch = Vec::new();
         config.batch_for(messages, &mut batch);
-        let chunk_count = if self.parallel {
-            rayon::current_num_threads().clamp(1, batch.len().max(1))
-        } else {
-            1
-        };
-        let mut chunk_size = batch.len().max(1).div_ceil(chunk_count);
-        if self.config.observation_backend == ObservationBackend::Sketch {
-            chunk_size = chunk_size.min(SKETCH_CHUNK_BLOCKS);
+        let workers = self.workers(batch.len());
+        if let RoundStore::Dense(store) = observations {
+            store.reserve_blocks(batch.len());
         }
-        let chunks: Vec<(usize, &[BatchMessage])> = batch
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| (ci * chunk_size, chunk))
-            .collect();
-
-        type Part = (ObservationCollector, Vec<(u32, f64, f64)>, SimCounters);
-        let parts: Vec<Part> = chunks
-            .par_iter()
-            .map(|&(base, chunk)| {
-                let mut scratch = GossipScratch::with_capacity_and_queue(
+        let rows_per_lane = batch.len().div_ceil(workers).min(TRAFFIC_WINDOW);
+        let mut lanes: Vec<Lane<GossipScratch, (u32, f64, f64)>> = (0..workers)
+            .map(|_| {
+                let sim = GossipScratch::with_capacity_and_queue(
                     view.len(),
                     view.directed_edge_count(),
                     self.queue,
                 );
-                let mut collector = ObservationCollector::from_view(view);
-                collector.reserve_blocks(chunk.len());
-                let mut per_message = Vec::with_capacity(chunk.len());
-                let mut coverage = [SimTime::ZERO; 2];
-                view.gossip_batch_into(chunk, &mut scratch, |i, s| {
-                    s.batch_coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                    collector.record_gossip_scratch(view, s);
-                    per_message.push((
-                        messages[base + i].class,
-                        coverage[0].as_ms(),
-                        coverage[1].as_ms(),
-                    ));
-                });
-                let counters = scratch.take_counters();
-                (collector, per_message, counters)
+                Lane::new(sim, view, rows_per_lane, false)
             })
             .collect();
 
-        // Merge in message order: rows append behind the round's block
-        // rows (dense) or fold into the per-edge sketches (sketch), and
-        // the per-class sums left-fold exactly like a sequential loop.
+        // The per-class sums left-fold in message order, exactly like a
+        // sequential loop.
         let mut per_class: Vec<TrafficClassRoundStats> = config
             .classes
             .iter()
@@ -1223,20 +1252,39 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 mean_lambda50_ms: 0.0,
             })
             .collect();
+        let record = |lane: &mut Lane<GossipScratch, _>, base: usize, chunk: &[BatchMessage]| {
+            let Lane {
+                sim, rows, lambdas, ..
+            } = lane;
+            let mut coverage = [SimTime::ZERO; 2];
+            view.gossip_batch_into(chunk, sim, |i, s| {
+                s.batch_coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                rows.record_gossip_scratch(view, s);
+                lambdas.push((
+                    messages[base + i].class,
+                    coverage[0].as_ms(),
+                    coverage[1].as_ms(),
+                ));
+            });
+        };
+        let emit = |(class, l90, l50): (u32, f64, f64)| {
+            let c = &mut per_class[class as usize];
+            c.messages += 1;
+            c.mean_lambda90_ms += l90;
+            c.mean_lambda50_ms += l50;
+        };
+        fan_out_windows(
+            &batch,
+            &mut lanes,
+            TRAFFIC_WINDOW,
+            observations,
+            record,
+            emit,
+        );
+
         let mut counters = SimCounters::ZERO;
-        for (collector, per_message, ctr) in parts {
-            counters.merge(&ctr);
-            let rows = collector.finish();
-            match observations {
-                RoundStore::Dense(acc) => acc.append(rows),
-                RoundStore::Sketch(acc) => acc.ingest(&rows),
-            }
-            for (class, l90, l50) in per_message {
-                let c = &mut per_class[class as usize];
-                c.messages += 1;
-                c.mean_lambda90_ms += l90;
-                c.mean_lambda50_ms += l50;
-            }
+        for lane in &mut lanes {
+            counters.merge(&lane.sim.take_counters());
         }
         for c in &mut per_class {
             if c.messages > 0 {

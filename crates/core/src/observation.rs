@@ -18,7 +18,7 @@
 //! which halves the round's memory against the former per-node `f64`
 //! rows and is what makes 10k-node × 100-block rounds fit comfortably.
 //! Merging per-worker chunks back into block order
-//! ([`ObservationCollector::append`]) is a single `memcpy`-style extend.
+//! ([`ObservationStore::extend_from`]) is a single `memcpy`-style extend.
 //!
 //! Scoring reads the store through borrowed, allocation-free
 //! [`NodeObservations`] views ([`ObservationStore::node`]).
@@ -34,13 +34,18 @@
 //! of the round's block count.
 //!
 //! Recording is unchanged — every path still fills small *dense* chunks
-//! (the per-worker collectors, capped at a constant number of blocks in
-//! sketch mode) — and the sketch store folds each chunk in at merge time
-//! ([`SketchObservationStore::ingest`]), column by column in block
-//! order. Because chunks carry exact raw samples and are ingested in
-//! block order, the sketch state is a pure function of the sequential
-//! sample stream: **bit-identical across thread counts and chunk
-//! splits**, with no sketch-merge operator needed.
+//! (one reusable collector per worker). The engine walks a round's
+//! blocks and messages in fixed *windows* of a few rows per worker:
+//! workers record their slice of the window, then the sketch store folds
+//! the window's chunks in row order
+//! ([`SketchObservationStore::fold`]). The fold is edge-parallel: the
+//! sketch array splits into disjoint edge ranges, and each range replays
+//! every row of the window in order. Because chunks carry exact raw
+//! samples and every edge still sees them in row order, the sketch state
+//! is a pure function of the sequential sample stream: **bit-identical
+//! across thread counts, window sizes and chunk splits**, with no
+//! sketch-merge operator needed. Transient dense memory is one window's
+//! rows, never the whole round's.
 //!
 //! What scoring sees through [`NodeObservations`]:
 //!
@@ -164,19 +169,24 @@ impl ObservationStore {
         self.times.len() * std::mem::size_of::<f32>()
     }
 
-    /// Appends another store's blocks after this one's, in order — the
-    /// store-level twin of [`ObservationCollector::append`], used when
-    /// already-finished chunks (e.g. the traffic layer's per-batch
-    /// collectors) merge into a round store. A single contiguous extend.
+    /// Appends copies of `other`'s blocks after this one's, in order —
+    /// the store-level twin of [`ObservationCollector::append`], used
+    /// when a reusable per-worker buffer drains into the round store. A
+    /// single contiguous extend.
     ///
     /// # Panics
     ///
     /// Panics if the two stores cover different CSR skeletons.
-    pub fn append(&mut self, other: ObservationStore) {
+    pub fn extend_from(&mut self, other: &ObservationStore) {
         assert_eq!(self.offsets, other.offsets, "CSR offset mismatch");
         assert_eq!(self.edges, other.edges, "neighbor snapshot mismatch");
         self.times.extend_from_slice(&other.times);
         self.blocks += other.blocks;
+    }
+
+    /// Pre-allocates room for `blocks` further block rows.
+    pub fn reserve_blocks(&mut self, blocks: usize) {
+        self.times.reserve_exact(blocks * self.edges.len());
     }
 
     /// Borrowed, allocation-free view of node `v`'s observations.
@@ -201,7 +211,8 @@ impl ObservationStore {
 /// per edge regardless of how many blocks the round mined.
 ///
 /// Built empty from the round's view and fed whole dense chunks in
-/// block order via [`SketchObservationStore::ingest`]; see the module
+/// block order via [`SketchObservationStore::ingest`] or its
+/// edge-parallel twin [`SketchObservationStore::fold`]; see the module
 /// docs for why that makes the sketch state chunking-invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchObservationStore {
@@ -284,6 +295,37 @@ impl SketchObservationStore {
         self.blocks += chunk.blocks;
     }
 
+    /// Folds consecutive dense chunks (in row order) into the sketches,
+    /// edge-parallel: the sketch array splits into `workers` disjoint
+    /// edge ranges, and each range replays every row of every chunk in
+    /// order. Every edge therefore sees the exact sample stream of
+    /// [`SketchObservationStore::ingest`] on the same chunks, so the
+    /// result is bit-identical to it whatever `workers` is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk was collected over a different CSR skeleton.
+    pub fn fold(&mut self, chunks: &[&ObservationStore], workers: usize) {
+        for chunk in chunks {
+            assert_eq!(self.offsets, chunk.offsets, "CSR offset mismatch");
+            assert_eq!(self.edges, chunk.edges, "neighbor snapshot mismatch");
+        }
+        let m = self.edges.len();
+        if m > 0 {
+            let span = m.div_ceil(workers.max(1));
+            let params = &self.params;
+            rayon::par_map_chunks_mut(&mut self.sketches, span, |k, range| {
+                let lo = k * span;
+                for row in chunks.iter().flat_map(|c| c.times.chunks_exact(m)) {
+                    for (sketch, &t) in range.iter_mut().zip(&row[lo..]) {
+                        sketch.observe(t, params);
+                    }
+                }
+            });
+        }
+        self.blocks += chunks.iter().map(|c| c.blocks).sum::<usize>();
+    }
+
     /// Borrowed, allocation-free view of node `v`'s observations.
     pub fn node(&self, v: NodeId) -> NodeObservations<'_> {
         let start = self.offsets[v.index()];
@@ -314,6 +356,39 @@ pub enum RoundStore {
 }
 
 impl RoundStore {
+    /// An empty round store over the CSR skeleton of `view`, in the
+    /// given backend (`percentile` is what a sketch store tracks).
+    pub fn from_view(view: &TopologyView, backend: ObservationBackend, percentile: f64) -> Self {
+        match backend {
+            ObservationBackend::Dense => {
+                RoundStore::Dense(ObservationCollector::from_view(view).finish())
+            }
+            ObservationBackend::Sketch => {
+                RoundStore::Sketch(SketchObservationStore::from_view(view, percentile))
+            }
+        }
+    }
+
+    /// Takes in consecutive dense chunks, in row order: the dense
+    /// backend appends copies of them, the sketch backend folds them
+    /// over `workers` edge ranges ([`SketchObservationStore::fold`]).
+    /// The chunks are left as they were, so reusable buffers can be
+    /// cleared and refilled afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk was collected over a different CSR skeleton.
+    pub fn absorb(&mut self, chunks: &[&ObservationStore], workers: usize) {
+        match self {
+            RoundStore::Dense(s) => {
+                for chunk in chunks {
+                    s.extend_from(chunk);
+                }
+            }
+            RoundStore::Sketch(s) => s.fold(chunks, workers),
+        }
+    }
+
     /// Which backend this round ran under.
     pub fn backend(&self) -> ObservationBackend {
         match self {
@@ -713,9 +788,7 @@ impl ObservationCollector {
     /// Pre-allocates room for `blocks` further block rows, so the
     /// per-block recording never reallocates mid-round.
     pub fn reserve_blocks(&mut self, blocks: usize) {
-        self.store
-            .times
-            .reserve_exact(blocks * self.store.edges.len());
+        self.store.reserve_blocks(blocks);
     }
 
     /// Normalizes the freshly computed `self.row` (one node's f64
@@ -950,16 +1023,19 @@ impl ObservationCollector {
     ///
     /// Panics if the two collectors snapshotted different CSR skeletons.
     pub fn append(&mut self, other: ObservationCollector) {
-        assert_eq!(
-            self.store.offsets, other.store.offsets,
-            "CSR offset mismatch"
-        );
-        assert_eq!(
-            self.store.edges, other.store.edges,
-            "neighbor snapshot mismatch"
-        );
-        self.store.times.extend_from_slice(&other.store.times);
-        self.store.blocks += other.store.blocks;
+        self.store.extend_from(&other.store);
+    }
+
+    /// The rows recorded so far.
+    pub fn rows(&self) -> &ObservationStore {
+        &self.store
+    }
+
+    /// Drops every recorded row but keeps the snapshot and the
+    /// allocation, so one collector can be refilled window after window.
+    pub fn clear(&mut self) {
+        self.store.times.clear();
+        self.store.blocks = 0;
     }
 
     /// Finishes the round, yielding the flat per-round store.
@@ -1106,6 +1182,80 @@ mod tests {
         }
         a.append(b);
         assert_eq!(a.finish(), seq.finish());
+    }
+
+    #[test]
+    fn edge_parallel_fold_matches_row_at_a_time_ingest() {
+        // Seven connected nodes plus a detached pair (7–8) that never
+        // hears the others' blocks, so its edges read ∞ for most rows.
+        let coords = [0.0, 10.0, 30.0, 55.0, 70.0, 90.0, 120.0, 5.0, 15.0];
+        let (pop, lat, mut topo) = world(&coords);
+        for (a, b) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (0, 3),
+            (1, 5),
+            (2, 6),
+            (7, 8),
+        ] {
+            topo.connect(NodeId::new(a), NodeId::new(b)).unwrap();
+        }
+        let view = TopologyView::new(&topo, &lat, &pop);
+        let sources: Vec<u32> = (0..40u32).map(|i| (i * 5 + i / 3) % 9).collect();
+        let collect = |range: std::ops::Range<usize>| {
+            let mut c = ObservationCollector::from_view(&view);
+            for &src in &sources[range] {
+                c.record(&broadcast(&topo, &lat, &pop, NodeId::new(src)), &lat);
+            }
+            c.finish()
+        };
+
+        let mut reference = SketchObservationStore::from_view(&view, 90.0);
+        for i in 0..sources.len() {
+            reference.ingest(&collect(i..i + 1));
+        }
+
+        // Windows of uneven sizes, each split into uneven lane chunks
+        // (some empty), folded over 1, 2, 3 and 8 edge ranges under
+        // 1-, 2- and 8-thread pools.
+        let windows: [&[usize]; 6] = [&[1], &[3, 0, 4], &[7, 2], &[5, 5, 1, 0], &[2], &[6, 4]];
+        assert_eq!(
+            windows.iter().flat_map(|w| w.iter()).sum::<usize>(),
+            sources.len()
+        );
+        for threads in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for workers in [1, 2, 3, 8] {
+                let folded = pool.install(|| {
+                    let mut store = SketchObservationStore::from_view(&view, 90.0);
+                    let mut next = 0;
+                    for window in windows {
+                        let chunks: Vec<ObservationStore> = window
+                            .iter()
+                            .map(|&len| {
+                                next += len;
+                                collect(next - len..next)
+                            })
+                            .collect();
+                        let refs: Vec<&ObservationStore> = chunks.iter().collect();
+                        store.fold(&refs, workers);
+                    }
+                    store
+                });
+                assert_eq!(
+                    folded, reference,
+                    "fold over {workers} ranges on {threads} threads must equal ingest"
+                );
+            }
+        }
+        assert_eq!(reference.block_count(), sources.len());
     }
 
     #[test]

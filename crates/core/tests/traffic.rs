@@ -77,50 +77,57 @@ fn batched_observation_rows_match_sequential_single_passes() {
     }
 }
 
-/// Combined rounds are bit-identical across the parallel/sequential
-/// switch, pinned 1/2/8-thread rayon pools and both queue kinds — the
-/// same guarantee the blocks-only engine gives, now under ~10× more
-/// messages per round.
-#[test]
-fn combined_rounds_are_thread_and_queue_independent() {
-    const ROUNDS: usize = 3;
-    let reference: (Vec<RoundStats>, TrafficRoundStats, Vec<f64>) = {
-        let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
-        let stats = engine.run_rounds(ROUNDS, &mut rng);
+/// Messages each worker gossips per traffic window — mirrors the
+/// engine's private window size, so the sketch variant below can prove
+/// its world spans several windows plus a partial last one.
+const TRAFFIC_WINDOW: usize = 128;
+
+type Trajectory = (Vec<RoundStats>, TrafficRoundStats, Vec<f64>);
+
+/// Runs `rounds` rounds of `build()`'s engine under every execution
+/// variant: the default, the parallel/sequential switch × both queue
+/// kinds, and pinned 1/2/8-thread rayon pools. Returns the default
+/// run first.
+fn trajectories<L, F>(rounds: usize, build: F) -> Vec<Trajectory>
+where
+    L: perigee_netsim::LatencyModel,
+    F: Fn() -> (PerigeeEngine<L>, StdRng),
+{
+    let run = |engine: &mut PerigeeEngine<L>, rng: &mut StdRng| {
+        let stats = engine.run_rounds(rounds, rng);
         let traffic = engine.last_traffic_stats().unwrap().clone();
         (stats, traffic, engine.evaluate(0.9))
     };
-
-    let mut variants: Vec<(Vec<RoundStats>, TrafficRoundStats, Vec<f64>)> = Vec::new();
+    let (mut engine, mut rng) = build();
+    let mut out = vec![run(&mut engine, &mut rng)];
     // Sequential, and the reference heap queue.
     for (parallel, kind) in [
         (false, QueueKind::Calendar),
         (true, QueueKind::BinaryHeap),
         (false, QueueKind::BinaryHeap),
     ] {
-        let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
+        let (mut engine, mut rng) = build();
         engine.set_parallel(parallel);
         engine.set_queue_kind(kind);
-        let stats = engine.run_rounds(ROUNDS, &mut rng);
-        let traffic = engine.last_traffic_stats().unwrap().clone();
-        variants.push((stats, traffic, engine.evaluate(0.9)));
+        out.push(run(&mut engine, &mut rng));
     }
-    // Pinned pools: the chunk layout changes, the results must not.
+    // Pinned pools: the window layout changes, the results must not.
     for threads in [1, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        let variant = pool.install(|| {
-            let (mut engine, mut rng) = engine_with(60, 8, 17, ObservationBackend::Dense);
-            let stats = engine.run_rounds(ROUNDS, &mut rng);
-            let traffic = engine.last_traffic_stats().unwrap().clone();
-            (stats, traffic, engine.evaluate(0.9))
-        });
-        variants.push(variant);
+        out.push(pool.install(|| {
+            let (mut engine, mut rng) = build();
+            run(&mut engine, &mut rng)
+        }));
     }
+    out
+}
 
-    for (i, variant) in variants.iter().enumerate() {
+fn assert_all_equal(runs: &[Trajectory]) {
+    let reference = &runs[0];
+    for (i, variant) in runs.iter().enumerate().skip(1) {
         assert_eq!(&reference.0, &variant.0, "RoundStats differ (variant {i})");
         assert_eq!(
             &reference.1, &variant.1,
@@ -128,6 +135,46 @@ fn combined_rounds_are_thread_and_queue_independent() {
         );
         assert_eq!(&reference.2, &variant.2, "evaluation differs (variant {i})");
     }
+}
+
+/// Combined rounds are bit-identical across the parallel/sequential
+/// switch, pinned 1/2/8-thread rayon pools and both queue kinds — the
+/// same guarantee the blocks-only engine gives, now under ~10× more
+/// messages per round — on both observation backends.
+#[test]
+fn combined_rounds_are_thread_and_queue_independent() {
+    const ROUNDS: usize = 3;
+    assert_all_equal(&trajectories(ROUNDS, || {
+        engine_with(60, 8, 17, ObservationBackend::Dense)
+    }));
+
+    // The sketch store folds each traffic window edge-parallel. A
+    // four-fold paper stream makes every round span at least two full
+    // windows plus a partial last one at every worker count up to 8,
+    // so window boundaries and the partial-window split are exercised.
+    let heavy = || {
+        let (mut engine, rng) = engine_with(60, 8, 17, ObservationBackend::Sketch);
+        let mut traffic = TrafficConfig::paper_stream(17 ^ 0x7AFF);
+        for class in &mut traffic.classes {
+            class.lambda_per_node *= 4.0;
+        }
+        engine.set_traffic(traffic).unwrap();
+        (engine, rng)
+    };
+    const SKETCH_ROUNDS: usize = 2;
+    let (engine, _) = heavy();
+    for round in 0..SKETCH_ROUNDS as u64 {
+        let messages = engine
+            .traffic()
+            .unwrap()
+            .messages_for_round(round, engine.population())
+            .len();
+        assert!(
+            messages > 2 * 8 * TRAFFIC_WINDOW && messages % TRAFFIC_WINDOW != 0,
+            "{messages} messages must span >= 2 windows plus a partial one"
+        );
+    }
+    assert_all_equal(&trajectories(SKETCH_ROUNDS, heavy));
 }
 
 /// The per-class λ-statistics come from the propagation phase, not the

@@ -167,12 +167,19 @@ fn emit(table: &Table, out: &Option<PathBuf>, file: &str) -> Result<(), String> 
 
 /// `repro trace FILE`: parse every JSONL record and print the aggregate
 /// phase breakdown (plus record counts per run label).
+///
+/// Engine round records and `command` records are aggregated apart: a
+/// command's lap spans the engine rounds it ran, so adding the two into
+/// one profile would count that time twice (and a command named like an
+/// engine phase, e.g. `traffic`, would merge into it). Command phases
+/// print in their own table as `cmd/<name>`.
 fn summarize_trace(path: &PathBuf, out: &Option<PathBuf>) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut profile = PhaseProfile::new();
+    let mut engine = PhaseProfile::new();
+    let mut commands = PhaseProfile::new();
     let mut rounds = 0u64;
-    let mut commands = 0u64;
+    let mut command_records = 0u64;
     let mut runs: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -182,26 +189,36 @@ fn summarize_trace(path: &PathBuf, out: &Option<PathBuf>) -> Result<(), String> 
             JsonValue::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
         let rec = TraceRecord::from_json(&value)
             .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
-        match rec.kind.as_str() {
-            "round" => rounds += 1,
-            _ => commands += 1,
-        }
         *runs.entry(rec.run.clone()).or_insert(0) += 1;
-        for (name, secs) in &rec.phases_s {
-            profile.add(name, *secs);
+        if rec.kind == "round" {
+            rounds += 1;
+            for (name, secs) in &rec.phases_s {
+                engine.add(name, *secs);
+            }
+        } else {
+            command_records += 1;
+            for (name, secs) in &rec.phases_s {
+                commands.add(&format!("cmd/{name}"), *secs);
+            }
         }
     }
     banner(&format!("Trace summary: {}", path.display()));
     println!(
         "{} record(s): {} round(s), {} command profile(s)",
-        rounds + commands,
+        rounds + command_records,
         rounds,
-        commands
+        command_records
     );
     for (run, n) in &runs {
         println!("  {run}: {n} record(s)");
     }
-    emit(&profile.table(), out, "trace_phases.csv")
+    println!("engine round phases:");
+    emit(&engine.table(), out, "trace_phases.csv")?;
+    if !commands.is_empty() {
+        println!("command phases (wall time, spanning the rounds above):");
+        emit(&commands.table(), out, "trace_commands.csv")?;
+    }
+    Ok(())
 }
 
 fn run_command(cmd: &str, args: &Args) -> Result<(), String> {

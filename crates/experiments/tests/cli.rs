@@ -185,6 +185,60 @@ fn trace_flag_writes_parseable_jsonl_and_trace_summarizes_it() {
     assert!(stdout.contains("propagation"), "got: {stdout}");
 }
 
+/// Reads the `total_s` cell of `phase`'s row from a rendered phase table.
+fn phase_seconds(table: &str, phase: &str) -> Option<f64> {
+    table.lines().find_map(|line| {
+        let mut cells = line.split_whitespace();
+        (cells.next() == Some(phase)).then(|| cells.next()?.parse().ok())?
+    })
+}
+
+/// A command's lap spans the engine rounds it ran, so `repro trace`
+/// must keep the two apart: summed engine phases never exceed the
+/// command's wall time, and the `traffic` command does not merge into
+/// the engine's `traffic` phase.
+#[test]
+fn trace_summary_keeps_command_time_apart_from_engine_phases() {
+    let dir = std::env::temp_dir().join("repro-cli-trace-traffic");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("traffic.jsonl");
+    let out = repro(&[
+        "traffic",
+        "--quick",
+        "--nodes",
+        "40",
+        "--rounds",
+        "2",
+        "--blocks",
+        "4",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "traced traffic must succeed, stderr: {}",
+        stderr(&out)
+    );
+    let out = repro(&["trace", trace.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "trace summary must succeed, stderr: {}",
+        stderr(&out)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (engine, commands) = stdout
+        .split_once("command phases")
+        .unwrap_or_else(|| panic!("command phases are listed apart, got: {stdout}"));
+    let engine_total = phase_seconds(engine, "total").expect("engine total row");
+    let engine_traffic = phase_seconds(engine, "traffic").expect("engine traffic phase");
+    let command_wall = phase_seconds(commands, "cmd/traffic").expect("cmd/traffic row");
+    assert!(engine_traffic > 0.0, "got: {stdout}");
+    assert!(
+        engine_total <= command_wall,
+        "engine phases ({engine_total} s) exceed the command's wall time ({command_wall} s): {stdout}"
+    );
+}
+
 #[test]
 fn trace_without_a_file_fails() {
     let out = repro(&["trace"]);

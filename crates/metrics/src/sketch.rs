@@ -167,18 +167,16 @@ impl EdgeSketch {
             self.heights[4] = x;
             3
         } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
+            // Heights are non-decreasing, so the first cell with
+            // q[k] ≤ x < q[k+1] is the count of interior markers ≤ x:
+            // a branch-free form of the scan.
+            usize::from(x >= self.heights[1])
+                + usize::from(x >= self.heights[2])
+                + usize::from(x >= self.heights[3])
         };
 
-        for i in (k + 1)..5 {
-            self.positions[i] += 1;
+        for i in 1..5 {
+            self.positions[i] += u32::from(i > k);
         }
 
         // Nudge the three interior markers toward their desired ranks.

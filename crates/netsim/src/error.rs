@@ -29,6 +29,25 @@ pub enum NetsimError {
         /// Directed CSR edge count of the rejected world.
         directed_edges: usize,
     },
+    /// A checked constructor could not allocate one of its buffers: the
+    /// allocator refused (or the size overflowed) a request of `bytes`
+    /// bytes. Returned instead of aborting the process.
+    AllocationFailed {
+        /// Size of the refused allocation, in bytes (saturating).
+        bytes: usize,
+    },
+}
+
+/// A vector with room for exactly `capacity` elements, allocated with
+/// `try_reserve_exact`: [`NetsimError::AllocationFailed`] instead of an
+/// abort when the allocator refuses.
+pub(crate) fn try_vec<T>(capacity: usize) -> Result<Vec<T>, NetsimError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(capacity)
+        .map_err(|_| NetsimError::AllocationFailed {
+            bytes: capacity.saturating_mul(std::mem::size_of::<T>()),
+        })?;
+    Ok(v)
 }
 
 impl fmt::Display for NetsimError {
@@ -48,6 +67,9 @@ impl fmt::Display for NetsimError {
                 "world of {nodes} nodes / {directed_edges} directed edges exceeds \
                  the 2^30 packed-event payload cap"
             ),
+            NetsimError::AllocationFailed { bytes } => {
+                write!(f, "failed to allocate {bytes} bytes")
+            }
         }
     }
 }
@@ -102,6 +124,15 @@ mod tests {
         let c = ConnectError::IncomingFull(NodeId::new(9));
         assert!(c.to_string().contains("n9"));
         assert!(c.to_string().starts_with(char::is_lowercase));
+    }
+
+    #[test]
+    fn refused_allocation_is_a_structured_error() {
+        // More bytes than the address space holds: always refused.
+        let err = try_vec::<u64>(usize::MAX / 4).unwrap_err();
+        assert_eq!(err, NetsimError::AllocationFailed { bytes: usize::MAX });
+        assert!(err.to_string().contains("failed to allocate"));
+        assert!(try_vec::<u64>(16).unwrap().capacity() >= 16);
     }
 
     #[test]

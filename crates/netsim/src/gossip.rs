@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 
 use crate::bandwidth::TransferModel;
 use crate::counters::SimCounters;
-use crate::error::NetsimError;
+use crate::error::{try_vec, NetsimError};
 use crate::faults::BlockFaults;
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
@@ -417,7 +417,12 @@ impl GossipScratch {
     /// Checked [`GossipScratch::with_capacity`]: returns
     /// [`NetsimError::WorldTooLarge`] instead of panicking when the
     /// requested world reaches the [`PACKED_PAYLOAD_CAP`] packed-event
-    /// payload cap.
+    /// payload cap, and [`NetsimError::AllocationFailed`] instead of
+    /// aborting when a buffer cannot be allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`NetsimError::WorldTooLarge`] or [`NetsimError::AllocationFailed`].
     pub fn try_with_capacity(nodes: usize, directed_edges: usize) -> Result<Self, NetsimError> {
         Self::try_with_capacity_and_queue(nodes, directed_edges, QueueKind::default())
     }
@@ -435,23 +440,30 @@ impl GossipScratch {
                 directed_edges,
             });
         }
+        // INV mode fires ~1 event per directed edge plus ~3 per node,
+        // but inert events never reach the queue and only a fraction of
+        // the rest is pending at once.
+        let queue_capacity = directed_edges / 2 + nodes;
+        let mut queue = PackedQueue::with_kind(kind);
+        queue
+            .try_reserve(queue_capacity)
+            .map_err(|_| NetsimError::AllocationFailed {
+                bytes: queue_capacity.saturating_mul(std::mem::size_of::<u128>()),
+            })?;
         Ok(GossipScratch {
             source: NodeId::new(0),
-            // INV mode fires ~1 event per directed edge plus ~3 per node,
-            // but inert events never reach the queue and only a fraction
-            // of the rest is pending at once.
-            queue: PackedQueue::with_kind_and_capacity(kind, directed_edges / 2 + nodes),
+            queue,
             seq: 0,
-            has_block: Vec::with_capacity(nodes.div_ceil(64)),
-            requested: Vec::with_capacity(nodes.div_ceil(64)),
+            has_block: try_vec(nodes.div_ceil(64))?,
+            requested: try_vec(nodes.div_ceil(64))?,
             seen_stamp: Vec::new(),
             req_stamp: Vec::new(),
-            first_arrival: Vec::with_capacity(nodes),
-            delivery: Vec::with_capacity(directed_edges),
-            delivery_stamp: Vec::with_capacity(directed_edges),
+            first_arrival: try_vec(nodes)?,
+            delivery: try_vec(directed_edges)?,
+            delivery_stamp: try_vec(directed_edges)?,
             epoch: 0,
-            coverage: Vec::with_capacity(nodes),
-            select: Vec::with_capacity(nodes),
+            coverage: try_vec(nodes)?,
+            select: try_vec(nodes)?,
             counters: SimCounters::ZERO,
         })
     }
@@ -1610,7 +1622,13 @@ mod tests {
         ));
         assert!(err.to_string().contains("2^30"));
         assert!(GossipScratch::try_with_capacity(8, 1 << 30).is_err());
-        assert!(GossipScratch::try_with_capacity((1 << 30) - 1, (1 << 30) - 1).is_ok());
+        // Just under the cap the size check must pass; whether the
+        // allocator then grants ~30 GB depends on the host, but a refusal
+        // is a structured error, never an abort.
+        match GossipScratch::try_with_capacity((1 << 30) - 1, (1 << 30) - 1) {
+            Ok(_) | Err(NetsimError::AllocationFailed { .. }) => {}
+            Err(e) => panic!("the cap check must accept (1<<30)-1, got {e}"),
+        }
     }
 
     #[test]

@@ -318,6 +318,23 @@ impl<K: TimeKey> PackedQueue<K> {
         }
     }
 
+    /// Reserves room for `additional` more keys in a heap-kind queue
+    /// (a no-op for the calendar wheel, which sizes itself on first
+    /// use), reporting allocation failure instead of aborting.
+    ///
+    /// # Errors
+    ///
+    /// The allocator's refusal, as [`std::collections::TryReserveError`].
+    pub fn try_reserve(
+        &mut self,
+        additional: usize,
+    ) -> Result<(), std::collections::TryReserveError> {
+        match self {
+            PackedQueue::Heap(h) => h.try_reserve_exact(additional),
+            PackedQueue::Calendar(_) => Ok(()),
+        }
+    }
+
     /// Which implementation this queue runs on.
     pub fn kind(&self) -> QueueKind {
         match self {

@@ -45,7 +45,7 @@
 use crate::broadcast::Propagation;
 use crate::counters::SimCounters;
 use crate::dynamics::WorldDelta;
-use crate::error::NetsimError;
+use crate::error::{try_vec, NetsimError};
 use crate::faults::BlockFaults;
 use crate::graph::Topology;
 use crate::latency::LatencyModel;
@@ -178,7 +178,9 @@ impl TopologyView {
     ///
     /// # Errors
     ///
-    /// [`NetsimError::WorldTooLarge`] when the cap is exceeded.
+    /// [`NetsimError::WorldTooLarge`] when the cap is exceeded, and
+    /// [`NetsimError::AllocationFailed`] when a snapshot array cannot be
+    /// allocated.
     ///
     /// # Panics
     ///
@@ -192,9 +194,12 @@ impl TopologyView {
         let n = topology.len();
         assert_eq!(n, population.len(), "topology and population must agree");
         assert_eq!(n, latency.len(), "topology and latency model must agree");
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::new();
-        let mut delay = Vec::new();
+        // The degree sum bounds the directed edge count from above, so
+        // the fill below never reallocates.
+        let degree_sum: usize = (0..n as u32).map(|i| topology.degree(NodeId::new(i))).sum();
+        let mut offsets = try_vec(n + 1)?;
+        let mut edges = try_vec(degree_sum)?;
+        let mut delay = try_vec(degree_sum)?;
         offsets.push(0);
         for i in 0..n as u32 {
             let u = NodeId::new(i);
@@ -204,7 +209,8 @@ impl TopologyView {
             }
             offsets.push(edges.len());
         }
-        let mut reverse = vec![0u32; edges.len()];
+        let mut reverse = try_vec(edges.len())?;
+        reverse.resize(edges.len(), 0u32);
         for u in 0..n {
             for e in offsets[u]..offsets[u + 1] {
                 let v = edges[e] as usize;
