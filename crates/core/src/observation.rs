@@ -189,6 +189,26 @@ impl ObservationStore {
         self.times.reserve_exact(blocks * self.edges.len());
     }
 
+    /// A store over an explicit CSR skeleton and block-major matrix
+    /// (`times[b·m + e]`), for tests that need values no propagation
+    /// produces: `−0.0`, exact ties, all-∞ columns, NaN.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        offsets: Vec<usize>,
+        edges: Vec<u32>,
+        blocks: usize,
+        times: Vec<f32>,
+    ) -> Self {
+        assert_eq!(offsets.last().copied(), Some(edges.len()), "CSR skeleton");
+        assert_eq!(times.len(), blocks * edges.len(), "matrix shape");
+        ObservationStore {
+            offsets,
+            edges,
+            blocks,
+            times,
+        }
+    }
+
     /// Borrowed, allocation-free view of node `v`'s observations.
     pub fn node(&self, v: NodeId) -> NodeObservations<'_> {
         let start = self.offsets[v.index()];
@@ -631,10 +651,11 @@ impl<'a> NodeObservations<'a> {
     /// strategy funnels through**, so dense/sketch dispatch lives here.
     ///
     /// On the dense backend this collects the column into `buf` and
-    /// calls [`percentile_or_inf_mut`] — bit-identical to what the
-    /// strategies previously computed inline. On the sketch backend it
-    /// reads the edge's P² estimate (`buf` untouched); the store tracks
-    /// exactly one percentile, so `p` must match it.
+    /// calls [`percentile_or_inf_mut`], which selects the two closest
+    /// ranks in O(B) expected time and leaves `buf` permuted — the
+    /// exact percentile, bit for bit. On the sketch backend it reads the
+    /// edge's P² estimate (`buf` untouched); the store tracks exactly
+    /// one percentile, so `p` must match it.
     pub fn column_percentile_or_inf(&self, i: usize, p: f64, buf: &mut Vec<f64>) -> f64 {
         match self.data {
             ObsData::Dense { .. } => {

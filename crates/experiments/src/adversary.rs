@@ -386,7 +386,7 @@ mod tests {
         // churn_degrades_gracefully playbook): scoring cuts every learned
         // link, so what survives at the median is only the current
         // round's random exploration picks (expected ≈ 2 of 100 nodes).
-        let mut degrees: Vec<f64> = [2u64, 3, 4]
+        let degrees: Vec<f64> = [2u64, 3, 4]
             .iter()
             .map(|&seed| {
                 let r = run_free_rider(&tiny(), seed);
@@ -400,7 +400,7 @@ mod tests {
                 r.degree_after as f64
             })
             .collect();
-        let median = perigee_metrics::percentile_or_inf_mut(&mut degrees, 50.0);
+        let median = perigee_metrics::percentile_or_inf(&degrees, 50.0);
         assert!(
             median <= 4.0,
             "median incoming should collapse to exploration noise, \
@@ -414,7 +414,7 @@ mod tests {
         // bound on the evicted attacker's in-degree holds at the median
         // over three seeds, with only the structural claims (lure works,
         // eviction halves it, recovery) asserted per seed.
-        let mut post_degrees: Vec<f64> = [3u64, 4, 5]
+        let post_degrees: Vec<f64> = [3u64, 4, 5]
             .iter()
             .map(|&seed| {
                 let r = run_eclipse(&tiny(), seed);
@@ -441,7 +441,7 @@ mod tests {
                 r.post_attack_in_degree as f64
             })
             .collect();
-        let median = perigee_metrics::percentile_or_inf_mut(&mut post_degrees, 50.0);
+        let median = perigee_metrics::percentile_or_inf(&post_degrees, 50.0);
         assert!(
             median <= 4.0,
             "median post-attack in-degree should collapse to exploration \
@@ -472,7 +472,7 @@ mod tests {
         // churn may cost something but not catastrophically (< 40% worse
         // at the median), and every run must stay on the incremental
         // patch path (exactly one snapshot build each).
-        let mut ratios: Vec<f64> = [4u64, 5, 6]
+        let ratios: Vec<f64> = [4u64, 5, 6]
             .iter()
             .map(|&seed| {
                 let r = run_churn(&tiny(), seed, 0.02);
@@ -482,7 +482,7 @@ mod tests {
                 r.degradation()
             })
             .collect();
-        let median = perigee_metrics::percentile_or_inf_mut(&mut ratios, 50.0);
+        let median = perigee_metrics::percentile_or_inf(&ratios, 50.0);
         assert!(
             median < 1.4,
             "median churn degradation {median:.2} across seeds {ratios:?}"

@@ -26,7 +26,9 @@ pub mod table;
 pub use curve::DelayCurve;
 pub use histogram::Histogram;
 pub use p2::P2Quantile;
-pub use percentile::{percentile, percentile_mut, percentile_or_inf, percentile_or_inf_mut};
+pub use percentile::{
+    percentile, percentile_by_key_mut, percentile_mut, percentile_or_inf, percentile_or_inf_mut,
+};
 pub use sketch::{EdgeSketch, MultiQuantile, SketchParams};
 pub use stats::{mean, median, std_dev, Summary};
 pub use table::Table;

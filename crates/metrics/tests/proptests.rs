@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use perigee_metrics::{
-    mean, percentile, percentile_or_inf, std_dev, DelayCurve, EdgeSketch, Histogram, MultiQuantile,
-    SketchParams, Summary,
+    mean, percentile, percentile_by_key_mut, percentile_mut, percentile_or_inf, std_dev,
+    DelayCurve, EdgeSketch, Histogram, MultiQuantile, SketchParams, Summary,
 };
 
 proptest! {
@@ -259,5 +259,128 @@ proptest! {
                 "p{}: sketch {} vs dense {}", p, est, dense
             );
         }
+    }
+}
+
+/// A non-NaN `f64` that stresses rank selection: both zeros, both
+/// infinities, subnormals of either sign, the extremes, a tiny pool of
+/// exact repeats (heavy duplicates) and otherwise arbitrary bit patterns.
+fn selection_value() -> impl Strategy<Value = f64> {
+    (0u8..16, any::<u64>()).prop_map(|(sel, bits)| {
+        let subnormal = f64::from_bits(bits & 0x000f_ffff_ffff_ffff);
+        match sel {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => subnormal,
+            5 => -subnormal,
+            6 => f64::MAX,
+            7 => f64::MIN,
+            8..=11 => (bits % 4) as f64,
+            _ => {
+                let x = f64::from_bits(bits);
+                if x.is_nan() {
+                    1.5
+                } else {
+                    x
+                }
+            }
+        }
+    })
+}
+
+/// A percentile target: the scoring and reporting constants (0, 50, 90,
+/// 100) four times out of five, an arbitrary `p ∈ [0, 100]` otherwise.
+fn selection_p() -> impl Strategy<Value = f64> {
+    (0u8..5, 0.0f64..=100.0).prop_map(|(sel, p)| match sel {
+        0 => 0.0,
+        1 => 50.0,
+        2 => 90.0,
+        3 => 100.0,
+        _ => p,
+    })
+}
+
+/// The sort-based percentile the selection kernel replaced: sort a copy
+/// by `total_cmp`, then interpolate between the floor and ceil ranks.
+fn sorted_reference(values: &[f64], p: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let (lo_idx, hi_idx) = (rank.floor() as usize, rank.ceil() as usize);
+    let frac = rank - lo_idx as f64;
+    let (lo, hi) = (sorted[lo_idx], sorted[hi_idx]);
+    if frac == 0.0 || lo == hi {
+        lo
+    } else if lo.is_infinite() || hi.is_infinite() {
+        f64::INFINITY
+    } else {
+        lo + frac * (hi - lo)
+    }
+}
+
+/// `f64::total_cmp`'s order as an unsigned key.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+fn sorted_bits(values: &[f64]) -> Vec<u64> {
+    let mut bits: Vec<u64> = values.iter().map(|&x| total_order_key(x)).collect();
+    bits.sort_unstable();
+    bits
+}
+
+/// Cases per selection property. The debug suite runs the default; the
+/// release-mode scoring-equivalence CI step raises it through
+/// `PERIGEE_EQUIVALENCE_CASES`.
+fn selection_cases() -> u32 {
+    std::env::var("PERIGEE_EQUIVALENCE_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(selection_cases()))]
+
+    /// Selection returns exactly the sort-based percentile, bit for bit,
+    /// and only permutes its buffer.
+    #[test]
+    fn percentile_selection_matches_sorted_reference(
+        values in proptest::collection::vec(selection_value(), 1..5000),
+        p in selection_p(),
+    ) {
+        let expected = sorted_reference(&values, p);
+        let mut buf = values.clone();
+        let got = percentile_mut(&mut buf, p).expect("non-empty input");
+        prop_assert_eq!(got.to_bits(), expected.to_bits(), "p{} of {} values", p, values.len());
+        prop_assert!(sorted_bits(&buf) == sorted_bits(&values), "buffer is not a permutation of the input");
+    }
+
+    /// The keyed variant over order-preserving keys is bit-identical to
+    /// selecting on the values themselves.
+    #[test]
+    fn percentile_by_key_matches_values(
+        values in proptest::collection::vec(selection_value(), 1..5000),
+        p in selection_p(),
+    ) {
+        let mut keys: Vec<u64> = values.iter().map(|&x| total_order_key(x)).collect();
+        let got = percentile_by_key_mut(&mut keys, p, from_total_order_key).expect("non-empty input");
+        let expected = sorted_reference(&values, p);
+        prop_assert_eq!(got.to_bits(), expected.to_bits(), "p{} of {} values", p, values.len());
     }
 }
