@@ -6,9 +6,9 @@
 //! * `dynamics/*` — 1000 nodes: one full engine round, static vs 2%
 //!   steady-state churn, on the carried incrementally-patched view.
 //! * `churn_smoke/*` — the same comparison at 300 nodes plus the
-//!   patched-vs-fresh cross-check (`assert_view_consistency`) and a
-//!   calendar-vs-heap churny-run bit-equality check, cheap enough for CI
-//!   to run on every push so the `apply_world_delta` path cannot rot.
+//!   patched-vs-fresh cross-check (`assert_view_consistency`), cheap
+//!   enough for CI to run on every push so the `apply_world_delta` path
+//!   cannot rot.
 //! * `dynamics-report` — hand-timed per-round medians at 1k and 10k
 //!   nodes (churny vs static), the 1k × 50-round 2%-churn acceptance run
 //!   (zero rebuilds beyond the initial build, patched view equal to a
@@ -24,9 +24,7 @@ use rand::SeedableRng;
 use perigee_bench::{bench_json, median, section_enabled, MemoryFootprint};
 use perigee_core::{PerigeeConfig, PerigeeEngine, ScoringMethod};
 use perigee_experiments::{dynamics as dynx, Scenario};
-use perigee_netsim::{
-    ChurnProcess, ConnectionLimits, GeoLatencyModel, PopulationBuilder, QueueKind,
-};
+use perigee_netsim::{ChurnProcess, ConnectionLimits, GeoLatencyModel, PopulationBuilder};
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 
 const NODES: usize = 1_000;
@@ -106,37 +104,13 @@ fn bench_churn_smoke(c: &mut Criterion) {
     // The smoke pass is also CI's correctness gate for the incremental
     // path: the bench profile compiles the engine's per-round debug
     // assertion out, so cross-check the patched view against a fresh
-    // build explicitly, and prove the whole churny trajectory is
-    // queue-kind independent.
+    // build explicitly.
     assert_eq!(
         churn_engine.view_rebuilds(),
         1,
         "churn must patch, never rebuild"
     );
     churn_engine.assert_view_consistency();
-
-    let run = |kind: QueueKind| {
-        let (mut e, mut rng) = engine(SMOKE_NODES, 10, 13);
-        e.set_queue_kind(kind);
-        e.set_churn(ChurnProcess::steady_state(SMOKE_NODES, 0.02, 17));
-        let stats: Vec<_> = (0..8).map(|_| e.run_round(&mut rng)).collect();
-        e.assert_view_consistency();
-        (stats, e.topology().clone(), e.population().clone())
-    };
-    let cal = run(QueueKind::Calendar);
-    let heap = run(QueueKind::BinaryHeap);
-    assert_eq!(
-        cal.0, heap.0,
-        "churny RoundStats diverged between queue kinds"
-    );
-    assert_eq!(
-        cal.1, heap.1,
-        "churny topology diverged between queue kinds"
-    );
-    assert_eq!(
-        cal.2, heap.2,
-        "churny population diverged between queue kinds"
-    );
 }
 
 fn bench_dynamics_report(c: &mut Criterion) {

@@ -17,7 +17,7 @@
 //!   refill, and the margin there is the tentpole's number.
 //! * `traffic_smoke/*` — the CI gate at 300 nodes: a batch pass's
 //!   per-message coverage times are bit-identical to sequential
-//!   single-message passes on both queue kinds, a combined round under
+//!   single-message passes, a combined round under
 //!   the paper stream reports every class with finite λ, and a 2-round
 //!   combined trajectory is bit-identical across the parallel switch.
 //! * `traffic-report` — hand-timed (local only): one sketch-backed
@@ -36,7 +36,7 @@ use perigee_core::{ObservationBackend, PerigeeConfig, PerigeeEngine, ScoringMeth
 use perigee_experiments::{traffic as traffic_exp, Scenario};
 use perigee_netsim::{
     BatchMessage, Behavior, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, NodeId,
-    Population, PopulationBuilder, QueueKind, SimTime, Topology, TopologyView, TrafficConfig,
+    Population, PopulationBuilder, SimTime, Topology, TopologyView, TrafficConfig,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
 
@@ -178,35 +178,31 @@ fn bench_traffic_smoke(c: &mut Criterion) {
     }
 
     // Contract 1: a batch pass's per-message λ50/λ90 are bit-identical
-    // to sequential single-message passes, on both queue kinds.
+    // to sequential single-message passes.
     let (pop, lat, topo) = world(SMOKE_NODES, 7);
     let view = TopologyView::new(&topo, &lat, &pop);
     let traffic = TrafficConfig::paper_stream(7);
     let batch = tx_batch(&traffic, 1, &pop, 100);
     let fractions = [0.5, 0.9];
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let mut batched = Vec::new();
-        let mut scratch =
-            GossipScratch::with_capacity_and_queue(view.len(), view.directed_edge_count(), kind);
-        view.gossip_batch_into(&batch, &mut scratch, |_, s| {
-            let mut cov = [SimTime::ZERO; 2];
-            s.batch_coverage_times_into(&view, &fractions, &mut cov);
-            batched.push(cov);
-        });
-        let mut sequential = Vec::new();
-        let mut single =
-            GossipScratch::with_capacity_and_queue(view.len(), view.directed_edge_count(), kind);
-        for m in &batch {
-            view.gossip_into(m.source, &m.config, &mut single);
-            let mut cov = [SimTime::ZERO; 2];
-            single.coverage_times_into(&view, &fractions, &mut cov);
-            sequential.push(cov);
-        }
-        assert_eq!(
-            batched, sequential,
-            "batch pass diverged from single-message passes ({kind:?})"
-        );
+    let mut batched = Vec::new();
+    let mut scratch = GossipScratch::with_capacity(view.len(), view.directed_edge_count());
+    view.gossip_batch_into(&batch, &mut scratch, |_, s| {
+        let mut cov = [SimTime::ZERO; 2];
+        s.batch_coverage_times_into(&view, &fractions, &mut cov);
+        batched.push(cov);
+    });
+    let mut sequential = Vec::new();
+    let mut single = GossipScratch::with_capacity(view.len(), view.directed_edge_count());
+    for m in &batch {
+        view.gossip_into(m.source, &m.config, &mut single);
+        let mut cov = [SimTime::ZERO; 2];
+        single.coverage_times_into(&view, &fractions, &mut cov);
+        sequential.push(cov);
     }
+    assert_eq!(
+        batched, sequential,
+        "batch pass diverged from single-message passes"
+    );
 
     // Contract 2: a combined 2-round trajectory is bit-identical across
     // the parallel switch, and every class reports finite λ.

@@ -13,9 +13,9 @@ use rayon::prelude::*;
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
     BatchMessage, BroadcastScratch, ChurnProcess, FaultPlan, GossipConfig, GossipScratch,
-    LatencyModel, MinerSampler, NetsimError, NodeId, Population, QueueKind, Region, RoundDelta,
-    RoundFaults, ShardWorkspace, SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
-    TrafficMessage, WorldDelta,
+    LatencyModel, MinerSampler, NetsimError, NodeId, Population, Region, RoundDelta, RoundFaults,
+    ShardWorkspace, SimCounters, SimTime, Topology, TopologyView, TrafficConfig, TrafficMessage,
+    WorldDelta,
 };
 use perigee_telemetry::{PhaseTimer, RunTelemetry};
 
@@ -272,9 +272,6 @@ pub struct PerigeeEngine<L> {
     mode: PropagationMode,
     address_book: Option<AddressBook>,
     parallel: bool,
-    /// Which priority-queue implementation the per-worker scratches run
-    /// on (calendar by default; the reference heap for equivalence runs).
-    queue: QueueKind,
     /// How many contiguous node-range shards each analytic flood splits
     /// into (`1` = the flat single-queue flood). Results are bit-identical
     /// for every value (see [`ShardWorkspace`]), so this is a pure
@@ -455,7 +452,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             mode: PropagationMode::Analytic,
             address_book: None,
             parallel: true,
-            queue: QueueKind::default(),
             shards: 1,
             round: 0,
             view: None,
@@ -487,7 +483,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// never feeds back into any simulation decision, and the counters
     /// it harvests are tallied unconditionally either way — so an
     /// instrumented run is bit-identical to an uninstrumented one,
-    /// across thread counts and queue kinds (the `telemetry`
+    /// across thread counts (the `telemetry`
     /// integration suite enforces this). Without a handle the engine
     /// takes the zero-cost path: no clock reads, no record building.
     ///
@@ -517,7 +513,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// snapshot). Fault decisions are pure hashes of
     /// `(plan seed, round, global block index, edge)` — they consume no
     /// protocol RNG, so faulted runs stay bit-identical across thread
-    /// counts and queue kinds, and an [`FaultPlan::inert`] plan
+    /// counts, and an [`FaultPlan::inert`] plan
     /// reproduces the no-plan run exactly.
     ///
     /// Only [`PerigeeEngine::run_round`] is affected:
@@ -559,7 +555,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Origination counts are pure hashes of `(seed, round, class,
     /// node)`: installing traffic consumes **no RNG**, so the block
     /// path's random stream is untouched and rounds stay bit-identical
-    /// across thread counts and queue kinds. Two deliberate boundaries:
+    /// across thread counts. Two deliberate boundaries:
     /// stability gating keeps comparing blocks-seen against the round's
     /// *block* count only (transaction weather must not gate scoring),
     /// and traffic runs fault-free even under an installed
@@ -797,7 +793,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             compaction_epoch: self.compaction_epoch,
             config: self.config,
             method: self.method,
-            queue: self.queue,
             parallel: self.parallel,
             mode: self.mode,
             adopters: self.adopters.clone(),
@@ -818,7 +813,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Rebuilds an engine (and its run RNG) from a [`RunSnapshot`]:
     /// the inverse of [`PerigeeEngine::checkpoint`]. Running the resumed
     /// engine to round *N* is bit-identical to the uninterrupted run —
-    /// across thread counts, queue kinds, churn and active fault plans
+    /// across thread counts, churn and active fault plans
     /// (the `resume` integration suite enforces this).
     ///
     /// # Errors
@@ -836,7 +831,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             compaction_epoch,
             config,
             method,
-            queue,
             parallel,
             mode,
             adopters,
@@ -881,7 +875,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 mode,
                 address_book,
                 parallel,
-                queue,
                 shards: 1,
                 round: round as usize,
                 view: None,
@@ -919,20 +912,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Whether rounds fan blocks out across the rayon pool.
     pub fn parallel(&self) -> bool {
         self.parallel
-    }
-
-    /// Selects the priority-queue implementation every propagation
-    /// scratch runs on ([`QueueKind::Calendar`] by default). Results are
-    /// bit-identical either way — the calendar queue pops in exactly the
-    /// `BinaryHeap` order — so, like [`PerigeeEngine::set_parallel`],
-    /// this only exists for the equivalence suite and benchmarking.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        self.queue = kind;
-    }
-
-    /// The priority-queue implementation rounds simulate on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue
     }
 
     /// Splits every analytic flood into `shards` contiguous node-range
@@ -1068,7 +1047,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// (`faults: None` takes the exact fault-free code path). Because a
     /// block's fault pattern is keyed on its *global* index
     /// `base_block + position`, not on which worker simulates it, the
-    /// result stays bit-identical across thread counts and queue kinds.
+    /// result stays bit-identical across thread counts.
     pub fn observe_round_faulted(
         &self,
         view: &TopologyView,
@@ -1096,16 +1075,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                     // A flood lane owns a shard workspace (reused across
                     // its blocks) when flood sharding is on.
                     PropagationMode::Analytic => BlockSim::Flood(
-                        BroadcastScratch::with_capacity_and_queue(view.len(), self.queue),
-                        (self.shards > 1)
-                            .then(|| ShardWorkspace::with_queue(self.shards, self.queue)),
+                        BroadcastScratch::with_capacity(view.len()),
+                        (self.shards > 1).then(|| ShardWorkspace::new(self.shards)),
                     ),
                     PropagationMode::Gossip(cfg) => BlockSim::Gossip(
-                        GossipScratch::with_capacity_and_queue(
-                            view.len(),
-                            view.directed_edge_count(),
-                            self.queue,
-                        ),
+                        GossipScratch::with_capacity(view.len(), view.directed_edge_count()),
                         cfg,
                     ),
                 };
@@ -1231,11 +1205,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         let rows_per_lane = batch.len().div_ceil(workers).min(TRAFFIC_WINDOW);
         let mut lanes: Vec<Lane<GossipScratch, (u32, f64, f64)>> = (0..workers)
             .map(|_| {
-                let sim = GossipScratch::with_capacity_and_queue(
-                    view.len(),
-                    view.directed_edge_count(),
-                    self.queue,
-                );
+                let sim = GossipScratch::with_capacity(view.len(), view.directed_edge_count());
                 Lane::new(sim, view, rows_per_lane, false)
             })
             .collect();
@@ -1865,19 +1835,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Evaluates the current topology: for every node `v`, the time λv for
     /// a block mined by `v` to reach `fraction` of the hash power.
     /// Returns per-node values in id order (ms). Always uses the analytic
-    /// engine (on the configured [`PerigeeEngine::queue_kind`]); see
+    /// engine; see
     /// [`PerigeeEngine::evaluate_in_mode`] to measure under the active
     /// propagation mode instead.
     pub fn evaluate(&self, fraction: f64) -> Vec<f64> {
-        evaluate_topology_multi_with_queue(
-            &self.topology,
-            &self.latency,
-            &self.population,
-            &[fraction],
-            self.queue,
-        )
-        .pop()
-        .expect("one fraction requested")
+        evaluate_topology(&self.topology, &self.latency, &self.population, fraction)
     }
 
     /// Like [`PerigeeEngine::evaluate`] but restricted to *live* sources,
@@ -1915,11 +1877,8 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 let parts: Vec<Vec<f64>> = chunks
                     .par_iter()
                     .map(|chunk| {
-                        let mut scratch = GossipScratch::with_capacity_and_queue(
-                            view.len(),
-                            view.directed_edge_count(),
-                            self.queue,
-                        );
+                        let mut scratch =
+                            GossipScratch::with_capacity(view.len(), view.directed_edge_count());
                         let mut coverage = [SimTime::ZERO];
                         let mut out = Vec::with_capacity(chunk.len());
                         for &src in *chunk {
@@ -2056,26 +2015,6 @@ pub fn evaluate_topology_multi<L: LatencyModel + ?Sized>(
     population: &Population,
     fractions: &[f64],
 ) -> Vec<Vec<f64>> {
-    evaluate_topology_multi_with_queue(
-        topology,
-        latency,
-        population,
-        fractions,
-        QueueKind::default(),
-    )
-}
-
-/// Like [`evaluate_topology_multi`], flooding on an explicit
-/// [`QueueKind`] — what [`PerigeeEngine::evaluate`] threads its
-/// configured kind through, so heap-reference runs stay comparable end
-/// to end.
-pub fn evaluate_topology_multi_with_queue<L: LatencyModel + ?Sized>(
-    topology: &Topology,
-    latency: &L,
-    population: &Population,
-    fractions: &[f64],
-    queue: QueueKind,
-) -> Vec<Vec<f64>> {
     let n = population.len();
     let view = TopologyView::new(topology, latency, population);
     let view = &view;
@@ -2086,7 +2025,7 @@ pub fn evaluate_topology_multi_with_queue<L: LatencyModel + ?Sized>(
     let parts: Vec<Vec<Vec<f64>>> = chunks
         .par_iter()
         .map(|chunk| {
-            let mut scratch = BroadcastScratch::with_capacity_and_queue(n, queue);
+            let mut scratch = BroadcastScratch::with_capacity(n);
             let mut coverage = vec![SimTime::ZERO; fractions.len()];
             let mut out = vec![Vec::with_capacity(chunk.len()); fractions.len()];
             for &src in *chunk {

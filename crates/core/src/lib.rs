@@ -135,8 +135,8 @@ pub use audit::{AuditCheck, AuditReport, AuditViolation};
 pub use config::PerigeeConfig;
 pub use discovery::AddressBook;
 pub use engine::{
-    evaluate_topology, evaluate_topology_multi, evaluate_topology_multi_with_queue, PerigeeEngine,
-    PropagationMode, RoundObservations, RoundStats, TrafficClassRoundStats, TrafficRoundStats,
+    evaluate_topology, evaluate_topology_multi, PerigeeEngine, PropagationMode, RoundObservations,
+    RoundStats, TrafficClassRoundStats, TrafficRoundStats,
 };
 pub use liveness::{LivenessConfig, LivenessTracker, PeerHealth};
 pub use observation::{

@@ -31,8 +31,8 @@
 //! invariants, so a truncated or bit-flipped file yields a structured
 //! [`SnapshotError`] instead of garbage state. Resuming at round *k* and
 //! running to *N* is bit-identical to an uninterrupted *N*-round run —
-//! across thread counts, queue kinds, churn and active fault plans (the
-//! `resume` integration suite is the enforcement).
+//! across thread counts, churn and active fault plans (the `resume`
+//! integration suite is the enforcement).
 //!
 //! [`ChurnProcess`]: perigee_netsim::ChurnProcess
 //! [`FaultPlan`]: perigee_netsim::FaultPlan
@@ -43,9 +43,7 @@ use std::fmt;
 
 use serde::bin::{fnv1a64, Decode, DecodeError, Encode, Reader};
 
-use perigee_netsim::{
-    ChurnProcess, FaultPlan, Population, QueueKind, Topology, TrafficConfig, WorldDelta,
-};
+use perigee_netsim::{ChurnProcess, FaultPlan, Population, Topology, TrafficConfig, WorldDelta};
 
 use crate::config::PerigeeConfig;
 use crate::discovery::AddressBook;
@@ -56,8 +54,8 @@ use crate::score::ScoringMethod;
 /// The envelope magic: "PRGS" (PeRiGee Snapshot).
 const MAGIC: [u8; 4] = *b"PRGS";
 
-/// Format version this build writes and the only one it reads. Bump on
-/// any change to the body layout.
+/// Format version this build writes. It reads this version and
+/// version 3. Bump on any change to the body layout.
 ///
 /// History: **1** — the original inventory; **2** — adds the free-list
 /// compaction epoch ([`RunSnapshot::compaction_epoch`]) and the latency
@@ -66,11 +64,18 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// fields); **3** — adds the continuous-traffic workload (an optional
 /// [`TrafficConfig`] after the fault plan): traffic origination is a
 /// pure hash of `(seed, round, class, node)`, so the config alone lets
-/// a resumed run regenerate the identical message stream. Older
-/// envelopes are rejected with [`SnapshotError::UnsupportedVersion`] —
+/// a resumed run regenerate the identical message stream; **4** — drops
+/// the priority-queue-kind byte after the scoring method (the engine has
+/// one queue). A v3 body still decodes: its queue byte must be 0 (binary
+/// heap) or 1 (calendar) and is discarded, which is exact because both
+/// kinds pop in the same order and so gave bit-identical runs. Versions
+/// 1 and 2 are rejected with [`SnapshotError::UnsupportedVersion`] —
 /// re-run the capture, don't guess at a world whose id space may have
 /// been renumbered.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
+
+/// The last format version that still carried the queue-kind byte.
+const V3: u32 = 3;
 
 /// Why a snapshot could not be read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +129,6 @@ pub struct RunSnapshot {
     pub(crate) compaction_epoch: u64,
     pub(crate) config: PerigeeConfig,
     pub(crate) method: ScoringMethod,
-    pub(crate) queue: QueueKind,
     pub(crate) parallel: bool,
     pub(crate) mode: PropagationMode,
     pub(crate) adopters: Vec<bool>,
@@ -181,7 +185,6 @@ impl RunSnapshot {
         self.compaction_epoch.encode(out);
         self.config.encode(out);
         self.method.encode(out);
-        self.queue.encode(out);
         self.parallel.encode(out);
         self.mode.encode(out);
         self.adopters.encode(out);
@@ -198,14 +201,21 @@ impl RunSnapshot {
         self.rng_state.encode(out);
     }
 
-    fn decode_body(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode_body(r: &mut Reader<'_>, version: u32) -> Result<Self, SnapshotError> {
+        let round = u64::decode(r)?;
+        let blocks_simulated = u64::decode(r)?;
+        let compaction_epoch = u64::decode(r)?;
+        let config = Decode::decode(r)?;
+        let method = Decode::decode(r)?;
+        if version == V3 && u8::decode(r)? > 1 {
+            return Err(DecodeError::new("invalid queue-kind tag").into());
+        }
         let snapshot = RunSnapshot {
-            round: u64::decode(r)?,
-            blocks_simulated: u64::decode(r)?,
-            compaction_epoch: u64::decode(r)?,
-            config: Decode::decode(r)?,
-            method: Decode::decode(r)?,
-            queue: Decode::decode(r)?,
+            round,
+            blocks_simulated,
+            compaction_epoch,
+            config,
+            method,
             parallel: bool::decode(r)?,
             mode: Decode::decode(r)?,
             adopters: Vec::decode(r)?,
@@ -298,7 +308,7 @@ impl RunSnapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = u32::decode(&mut r)?;
-        if version != FORMAT_VERSION {
+        if version != FORMAT_VERSION && version != V3 {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let body_len = u64::decode(&mut r)? as usize;
@@ -311,7 +321,7 @@ impl RunSnapshot {
             return Err(SnapshotError::HashMismatch);
         }
         let mut br = Reader::new(body);
-        let snapshot = Self::decode_body(&mut br)?;
+        let snapshot = Self::decode_body(&mut br, version)?;
         if br.remaining() != 0 {
             return Err(SnapshotError::Corrupt(DecodeError::new(
                 "trailing bytes in snapshot body",
@@ -346,7 +356,6 @@ mod tests {
             compaction_epoch: 0,
             config: PerigeeConfig::default(),
             method: ScoringMethod::Subset,
-            queue: QueueKind::Calendar,
             parallel: true,
             mode: PropagationMode::Analytic,
             adopters: vec![true, true],

@@ -213,59 +213,50 @@ fn per_neighbor_rows_match_legacy_exactly() {
     }
 }
 
-/// Whole learning trajectories are queue-kind independent: an engine on
-/// the calendar queue matches the `BinaryHeap` reference RoundStats for
-/// RoundStats and edge for edge — in analytic and gossip modes, at any
-/// thread count (wide pool × calendar vs 1-thread pool × heap crosses
-/// both axes at once).
+/// Whole learning trajectories are pool-width independent: a wide-pool
+/// engine matches a 1-thread-pool engine RoundStats for RoundStats and
+/// edge for edge — in analytic and gossip modes.
 #[test]
-fn calendar_queue_rounds_match_heap_rounds_across_thread_counts() {
-    use perigee_netsim::QueueKind;
+fn wide_and_narrow_pool_rounds_match_in_both_modes() {
     for mode in [
         PropagationMode::Analytic,
         PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)),
     ] {
-        let (mut cal, mut rng_cal) = engine(90, 12, 53);
-        let (mut heap, mut rng_heap) = engine(90, 12, 53);
-        cal.set_queue_kind(QueueKind::Calendar);
-        heap.set_queue_kind(QueueKind::BinaryHeap);
-        assert_eq!(cal.queue_kind(), QueueKind::Calendar);
-        assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
-        cal.set_propagation_mode(mode);
-        heap.set_propagation_mode(mode);
+        let (mut wide, mut rng_wide) = engine(90, 12, 53);
+        let (mut narrow_engine, mut rng_narrow) = engine(90, 12, 53);
+        wide.set_propagation_mode(mode);
+        narrow_engine.set_propagation_mode(mode);
         let narrow = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
             .unwrap();
         for _ in 0..3 {
-            let a = cal.run_round(&mut rng_cal);
-            let b = narrow.install(|| heap.run_round(&mut rng_heap));
-            assert_eq!(a, b, "queue kinds diverged under {mode:?}");
+            let a = wide.run_round(&mut rng_wide);
+            let b = narrow.install(|| narrow_engine.run_round(&mut rng_narrow));
+            assert_eq!(a, b, "pool widths diverged under {mode:?}");
         }
-        assert_eq!(cal.topology(), heap.topology());
+        assert_eq!(wide.topology(), narrow_engine.topology());
         assert_eq!(
-            cal.evaluate_in_mode(0.9),
-            narrow.install(|| heap.evaluate_in_mode(0.9)),
-            "static evaluation must not depend on queue kind or threads"
+            wide.evaluate_in_mode(0.9),
+            narrow.install(|| narrow_engine.evaluate_in_mode(0.9)),
+            "static evaluation must not depend on the thread count"
         );
     }
 }
 
 /// A *churny* 50-round run — arrivals, departures and growth driven by a
 /// seeded `ChurnProcess` — is bit-identical across thread counts (1, 2
-/// and 8 pinned rayon pools) and across both priority-queue kinds: same
-/// RoundStats floats (including the streaming p90 estimate and the
+/// and 8 pinned rayon pools): same RoundStats floats (including the streaming p90 estimate and the
 /// join/depart counts), same learned topology, same grown population,
 /// and every run patches its snapshot incrementally (exactly one view
 /// build for the whole 50 rounds — the dynamics acceptance gate).
 #[test]
-fn churny_rounds_are_thread_and_queue_independent() {
+fn churny_rounds_are_thread_count_independent() {
     use perigee_core::RoundStats;
-    use perigee_netsim::{ChurnProcess, QueueKind};
+    use perigee_netsim::ChurnProcess;
 
-    let run = |threads: Option<usize>, kind: QueueKind| {
+    let run = |threads: Option<usize>| {
         let (mut e, mut rng) = engine(80, 8, 61);
-        e.set_queue_kind(kind);
         e.set_churn(ChurnProcess::steady_state(80, 0.04, 99));
         let rounds = |e: &mut PerigeeEngine<GeoLatencyModel>,
                       rng: &mut StdRng|
@@ -287,25 +278,19 @@ fn churny_rounds_are_thread_and_queue_independent() {
         (stats, e.topology().clone(), e.population().clone())
     };
 
-    let (ref_stats, ref_topo, ref_pop) = run(None, QueueKind::Calendar);
+    let (ref_stats, ref_topo, ref_pop) = run(None);
     assert!(
         ref_stats.iter().any(|s| s.joined > 0) && ref_stats.iter().any(|s| s.departed > 0),
         "the process must actually churn for this test to mean anything"
     );
-    for (threads, kind) in [
-        (Some(1), QueueKind::Calendar),
-        (Some(2), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::Calendar),
-        (Some(1), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::BinaryHeap),
-    ] {
-        let (stats, topo, pop) = run(threads, kind);
+    for threads in [Some(1), Some(2), Some(8)] {
+        let (stats, topo, pop) = run(threads);
         assert_eq!(
             stats, ref_stats,
-            "RoundStats diverged at {threads:?} threads on {kind:?}"
+            "RoundStats diverged at {threads:?} threads"
         );
-        assert_eq!(topo, ref_topo, "topology diverged at {threads:?}/{kind:?}");
-        assert_eq!(pop, ref_pop, "population diverged at {threads:?}/{kind:?}");
+        assert_eq!(topo, ref_topo, "topology diverged at {threads:?}");
+        assert_eq!(pop, ref_pop, "population diverged at {threads:?}");
     }
 }
 
@@ -313,15 +298,15 @@ fn churny_rounds_are_thread_and_queue_independent() {
 /// under an *active* `FaultPlan` — burst loss, flapping links, a timed
 /// partition — with churn, stability gating and liveness eviction all
 /// firing, is bit-identical across thread counts (1, 2 and 8 pinned
-/// rayon pools) and across both priority-queue kinds. Fault decisions
+/// rayon pools). Fault decisions
 /// are pure hashes of `(seed, round, global block, edge)` and the
 /// degradation machinery consumes RNG in a fixed sequential order, so
 /// nothing about the schedule can depend on the execution interleaving.
 #[test]
-fn fault_injected_rounds_are_thread_and_queue_independent() {
+fn fault_injected_rounds_are_thread_count_independent() {
     use perigee_core::RoundStats;
     use perigee_netsim::{
-        ChurnProcess, FaultPlan, FaultWindow, LinkFaultRates, LinkFlaps, PartitionWindow, QueueKind,
+        ChurnProcess, FaultPlan, FaultWindow, LinkFaultRates, LinkFlaps, PartitionWindow,
     };
 
     let plan = FaultPlan {
@@ -355,7 +340,7 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         regional: Vec::new(),
     };
 
-    let run = |threads: Option<usize>, kind: QueueKind| {
+    let run = |threads: Option<usize>| {
         // Hand-built engine: liveness on, so suspect→evict and backoff
         // state also prove themselves execution-order independent.
         let mut rng = StdRng::seed_from_u64(67);
@@ -367,7 +352,6 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         cfg.blocks_per_round = 8;
         cfg.liveness = perigee_core::LivenessConfig::aggressive();
         let mut e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
-        e.set_queue_kind(kind);
         e.set_churn(ChurnProcess::steady_state(80, 0.03, 107));
         e.set_fault_plan(plan.clone()).unwrap();
         let stats = {
@@ -389,7 +373,7 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         (stats, e.topology().clone(), e.population().clone())
     };
 
-    let (ref_stats, ref_topo, ref_pop) = run(None, QueueKind::Calendar);
+    let (ref_stats, ref_topo, ref_pop) = run(None);
     assert!(
         ref_stats.iter().any(|s| s.gated > 0),
         "the burst window must trip stability gating for this test to bite"
@@ -398,29 +382,23 @@ fn fault_injected_rounds_are_thread_and_queue_independent() {
         ref_stats.iter().any(|s| s.joined > 0) && ref_stats.iter().any(|s| s.departed > 0),
         "churn must fire under faults too"
     );
-    for (threads, kind) in [
-        (Some(1), QueueKind::Calendar),
-        (Some(2), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::Calendar),
-        (Some(1), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::BinaryHeap),
-    ] {
-        let (stats, topo, pop) = run(threads, kind);
+    for threads in [Some(1), Some(2), Some(8)] {
+        let (stats, topo, pop) = run(threads);
         assert_eq!(
             stats, ref_stats,
-            "faulted RoundStats diverged at {threads:?} threads on {kind:?}"
+            "faulted RoundStats diverged at {threads:?} threads"
         );
-        assert_eq!(topo, ref_topo, "topology diverged at {threads:?}/{kind:?}");
-        assert_eq!(pop, ref_pop, "population diverged at {threads:?}/{kind:?}");
+        assert_eq!(topo, ref_topo, "topology diverged at {threads:?}");
+        assert_eq!(pop, ref_pop, "population diverged at {threads:?}");
     }
 }
 
 /// Fault-injected *gossip* rounds (message-level INV/GETDATA) are
-/// likewise queue-kind and thread-count independent.
+/// likewise thread-count independent.
 #[test]
-fn fault_injected_gossip_rounds_are_queue_kind_independent() {
+fn fault_injected_gossip_rounds_are_thread_count_independent() {
     use perigee_core::RoundStats;
-    use perigee_netsim::{FaultPlan, LinkFaultRates, QueueKind};
+    use perigee_netsim::{FaultPlan, LinkFaultRates};
 
     let plan = FaultPlan {
         base: LinkFaultRates {
@@ -431,10 +409,9 @@ fn fault_injected_gossip_rounds_are_queue_kind_independent() {
         },
         ..FaultPlan::inert(0xBEEF)
     };
-    let run = |threads: Option<usize>, kind: QueueKind| {
+    let run = |threads: Option<usize>| {
         let (mut e, mut rng) = engine(70, 10, 71);
         e.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
-        e.set_queue_kind(kind);
         e.set_fault_plan(plan.clone()).unwrap();
         let rounds: Vec<RoundStats> = match threads {
             None => (0..12).map(|_| e.run_round(&mut rng)).collect(),
@@ -446,14 +423,10 @@ fn fault_injected_gossip_rounds_are_queue_kind_independent() {
         };
         (rounds, e.topology().clone())
     };
-    let (ref_stats, ref_topo) = run(None, QueueKind::Calendar);
-    for (threads, kind) in [
-        (Some(1), QueueKind::BinaryHeap),
-        (Some(8), QueueKind::BinaryHeap),
-        (Some(1), QueueKind::Calendar),
-    ] {
-        let (stats, topo) = run(threads, kind);
-        assert_eq!(stats, ref_stats, "diverged at {threads:?}/{kind:?}");
+    let (ref_stats, ref_topo) = run(None);
+    for threads in [Some(1), Some(8)] {
+        let (stats, topo) = run(threads);
+        assert_eq!(stats, ref_stats, "diverged at {threads:?}");
         assert_eq!(topo, ref_topo);
     }
 }
@@ -480,13 +453,13 @@ fn ucb_parallel_rounds_are_bit_identical_to_sequential() {
 
 /// Sharded analytic floods are a pure scheduling change: whole learning
 /// trajectories with `set_shards` are bit-identical to the flat flood —
-/// across shard counts, thread counts (1, 2 and 8 pinned pools) and both
-/// priority-queue kinds, with an active fault plan in force so the
-/// faulted sharded path is exercised too.
+/// across shard counts and thread counts (1, 2 and 8 pinned pools), with
+/// an active fault plan in force so the faulted sharded path is
+/// exercised too.
 #[test]
 fn sharded_rounds_are_bit_identical_to_flat_rounds() {
     use perigee_core::RoundStats;
-    use perigee_netsim::{FaultPlan, LinkFaultRates, QueueKind};
+    use perigee_netsim::{FaultPlan, LinkFaultRates};
 
     let plan = FaultPlan {
         base: LinkFaultRates {
@@ -497,10 +470,9 @@ fn sharded_rounds_are_bit_identical_to_flat_rounds() {
         },
         ..FaultPlan::inert(0x54A2)
     };
-    let run = |shards: usize, threads: Option<usize>, kind: QueueKind| {
+    let run = |shards: usize, threads: Option<usize>| {
         let (mut e, mut rng) = engine(100, 10, 77);
         e.set_shards(shards);
-        e.set_queue_kind(kind);
         e.set_fault_plan(plan.clone()).unwrap();
         let rounds = |e: &mut PerigeeEngine<GeoLatencyModel>,
                       rng: &mut StdRng|
@@ -516,19 +488,19 @@ fn sharded_rounds_are_bit_identical_to_flat_rounds() {
         (stats, e.topology().clone())
     };
 
-    let (ref_stats, ref_topo) = run(1, None, QueueKind::Calendar);
-    for (shards, threads, kind) in [
-        (4, Some(1), QueueKind::Calendar),
-        (4, Some(2), QueueKind::BinaryHeap),
-        (4, Some(8), QueueKind::Calendar),
-        (7, Some(1), QueueKind::BinaryHeap),
-        (7, Some(8), QueueKind::BinaryHeap),
-        (256, Some(2), QueueKind::Calendar), // more shards than fits: clamps
+    let (ref_stats, ref_topo) = run(1, None);
+    for (shards, threads) in [
+        (4, Some(1)),
+        (4, Some(2)),
+        (4, Some(8)),
+        (7, Some(1)),
+        (7, Some(8)),
+        (256, Some(2)), // more shards than fits: clamps
     ] {
-        let (stats, topo) = run(shards, threads, kind);
+        let (stats, topo) = run(shards, threads);
         assert_eq!(
             stats, ref_stats,
-            "sharded run diverged at {shards} shards, {threads:?} threads, {kind:?}"
+            "sharded run diverged at {shards} shards, {threads:?} threads"
         );
         assert_eq!(topo, ref_topo, "topology diverged at {shards} shards");
     }
@@ -536,16 +508,14 @@ fn sharded_rounds_are_bit_identical_to_flat_rounds() {
 
 /// Sketch-backed rounds keep the determinism guarantee: with the
 /// observation store folded into per-edge P² sketches, whole learning
-/// trajectories are bit-identical across thread counts and queue kinds
-/// (the sketch fold consumes blocks in block order regardless of how
+/// trajectories are bit-identical across thread counts (the sketch fold consumes blocks in block order regardless of how
 /// chunks were scheduled).
 #[test]
-fn sketch_backend_rounds_are_thread_and_queue_independent() {
+fn sketch_backend_rounds_are_thread_count_independent() {
     use perigee_core::{ObservationBackend, RoundStats};
-    use perigee_netsim::QueueKind;
 
     for method in [ScoringMethod::Vanilla, ScoringMethod::Subset] {
-        let run = |threads: Option<usize>, kind: QueueKind| {
+        let run = |threads: Option<usize>| {
             let mut rng = StdRng::seed_from_u64(83);
             let pop = PopulationBuilder::new(90).build(&mut rng).unwrap();
             let lat = GeoLatencyModel::new(&pop, 83);
@@ -555,7 +525,6 @@ fn sketch_backend_rounds_are_thread_and_queue_independent() {
             cfg.blocks_per_round = 12;
             cfg.observation_backend = ObservationBackend::Sketch;
             let mut e = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
-            e.set_queue_kind(kind);
             let rounds =
                 |e: &mut PerigeeEngine<GeoLatencyModel>, rng: &mut StdRng| -> Vec<RoundStats> {
                     (0..5).map(|_| e.run_round(rng)).collect()
@@ -570,17 +539,12 @@ fn sketch_backend_rounds_are_thread_and_queue_independent() {
             };
             (stats, e.topology().clone())
         };
-        let (ref_stats, ref_topo) = run(None, QueueKind::Calendar);
-        for (threads, kind) in [
-            (Some(1), QueueKind::Calendar),
-            (Some(2), QueueKind::BinaryHeap),
-            (Some(8), QueueKind::Calendar),
-            (Some(8), QueueKind::BinaryHeap),
-        ] {
-            let (stats, topo) = run(threads, kind);
+        let (ref_stats, ref_topo) = run(None);
+        for threads in [Some(1), Some(2), Some(8)] {
+            let (stats, topo) = run(threads);
             assert_eq!(
                 stats, ref_stats,
-                "sketch-backed {method:?} diverged at {threads:?}/{kind:?}"
+                "sketch-backed {method:?} diverged at {threads:?} threads"
             );
             assert_eq!(topo, ref_topo);
         }

@@ -1,8 +1,8 @@
 //! Combined block + transaction-stream rounds: the traffic phase must
 //! change *nothing* about the determinism contract. Batched observation
 //! rows are bit-identical to one `gossip_into` call per message, rounds
-//! with a workload installed are bit-identical across thread counts and
-//! queue kinds, the per-class λ-statistics are backend-independent, and
+//! with a workload installed are bit-identical across thread counts,
+//! the per-class λ-statistics are backend-independent, and
 //! a traffic workload rides checkpoints through the on-disk envelope.
 
 use perigee_core::{
@@ -10,7 +10,7 @@ use perigee_core::{
     RoundStats, RunSnapshot, ScoringMethod, TrafficRoundStats,
 };
 use perigee_netsim::{
-    ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, PopulationBuilder, QueueKind,
+    ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, PopulationBuilder,
     TopologyView, TrafficConfig,
 };
 use perigee_topology::{RandomBuilder, TopologyBuilder};
@@ -39,7 +39,7 @@ fn engine_with(
 
 /// The satellite contract at the observation layer: a k-message batch
 /// pass records observation rows **bit-identical** to k single-message
-/// passes through the same collector pipeline, on both queue kinds.
+/// passes through the same collector pipeline.
 #[test]
 fn batched_observation_rows_match_sequential_single_passes() {
     let mut rng = StdRng::seed_from_u64(3);
@@ -55,26 +55,24 @@ fn batched_observation_rows_match_sequential_single_passes() {
     traffic.batch_for(&messages, &mut batch);
     batch.truncate(150);
 
-    for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-        let mut batched = ObservationCollector::from_view(&view);
-        let mut scratch = GossipScratch::with_queue(kind);
-        view.gossip_batch_into(&batch, &mut scratch, |_, s| {
-            batched.record_gossip_scratch(&view, s);
-        });
+    let mut batched = ObservationCollector::from_view(&view);
+    let mut scratch = GossipScratch::new();
+    view.gossip_batch_into(&batch, &mut scratch, |_, s| {
+        batched.record_gossip_scratch(&view, s);
+    });
 
-        let mut sequential = ObservationCollector::from_view(&view);
-        let mut single = GossipScratch::with_queue(kind);
-        for m in &batch {
-            view.gossip_into(m.source, &m.config, &mut single);
-            sequential.record_gossip_scratch(&view, &single);
-        }
-
-        assert_eq!(
-            batched.finish(),
-            sequential.finish(),
-            "batched rows must equal sequential rows ({kind:?})"
-        );
+    let mut sequential = ObservationCollector::from_view(&view);
+    let mut single = GossipScratch::new();
+    for m in &batch {
+        view.gossip_into(m.source, &m.config, &mut single);
+        sequential.record_gossip_scratch(&view, &single);
     }
+
+    assert_eq!(
+        batched.finish(),
+        sequential.finish(),
+        "batched rows must equal sequential rows"
+    );
 }
 
 /// Messages each worker gossips per traffic window — mirrors the
@@ -85,9 +83,8 @@ const TRAFFIC_WINDOW: usize = 128;
 type Trajectory = (Vec<RoundStats>, TrafficRoundStats, Vec<f64>);
 
 /// Runs `rounds` rounds of `build()`'s engine under every execution
-/// variant: the default, the parallel/sequential switch × both queue
-/// kinds, and pinned 1/2/8-thread rayon pools. Returns the default
-/// run first.
+/// variant: the default, the sequential switch, and pinned 1/2/8-thread
+/// rayon pools. Returns the default run first.
 fn trajectories<L, F>(rounds: usize, build: F) -> Vec<Trajectory>
 where
     L: perigee_netsim::LatencyModel,
@@ -100,17 +97,9 @@ where
     };
     let (mut engine, mut rng) = build();
     let mut out = vec![run(&mut engine, &mut rng)];
-    // Sequential, and the reference heap queue.
-    for (parallel, kind) in [
-        (false, QueueKind::Calendar),
-        (true, QueueKind::BinaryHeap),
-        (false, QueueKind::BinaryHeap),
-    ] {
-        let (mut engine, mut rng) = build();
-        engine.set_parallel(parallel);
-        engine.set_queue_kind(kind);
-        out.push(run(&mut engine, &mut rng));
-    }
+    let (mut engine, mut rng) = build();
+    engine.set_parallel(false);
+    out.push(run(&mut engine, &mut rng));
     // Pinned pools: the window layout changes, the results must not.
     for threads in [1, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -138,11 +127,11 @@ fn assert_all_equal(runs: &[Trajectory]) {
 }
 
 /// Combined rounds are bit-identical across the parallel/sequential
-/// switch, pinned 1/2/8-thread rayon pools and both queue kinds — the
+/// switch and pinned 1/2/8-thread rayon pools — the
 /// same guarantee the blocks-only engine gives, now under ~10× more
 /// messages per round — on both observation backends.
 #[test]
-fn combined_rounds_are_thread_and_queue_independent() {
+fn combined_rounds_are_thread_count_independent() {
     const ROUNDS: usize = 3;
     assert_all_equal(&trajectories(ROUNDS, || {
         engine_with(60, 8, 17, ObservationBackend::Dense)

@@ -12,7 +12,7 @@
 //!   [`SessionDist`] — constant, exponential, lognormal or Weibull) or a
 //!   deterministic trace replay of [`LifetimeEvent`]s. The process owns
 //!   its own seeded RNG, so the lifetime schedule is independent of the
-//!   protocol RNG and identical across thread counts and queue kinds.
+//!   protocol RNG and identical across thread counts.
 //! * [`WorldDelta`] — the per-round outcome: which ids joined and which
 //!   departed. A node listed in *both* is an in-place session reset (same
 //!   id, fresh edges, forgotten scores) — the shape

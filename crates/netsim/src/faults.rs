@@ -7,8 +7,8 @@
 //! fault decision is a *pure function* of `(plan seed, round, global block
 //! index, CSR edge index, copy, purpose)` through a SplitMix64-style
 //! stateless hash: no protocol RNG is ever consumed mid-flood, so faulted
-//! rounds stay bit-identical across thread counts and both
-//! [`QueueKind`](crate::pq::QueueKind)s, and an inert plan (all rates
+//! rounds stay bit-identical across thread and shard counts, and an
+//! inert plan (all rates
 //! zero, no windows) is bit-identical to running with no plan at all.
 //!
 //! # Where faults land in the event pipeline
@@ -22,8 +22,8 @@
 //! collapse to the earliest survivor), which preserves the gossip
 //! engine's one-announcement-per-edge invariant: a dropped announcement
 //! consumes exactly one sequence number (like an inert event) and records
-//! no delivery, so the event schedule — and therefore tie-breaking — is
-//! unchanged between queue kinds. Request/response legs (GETDATA and the
+//! no delivery, so the sequence numbers — and therefore the tie-breaks —
+//! of every later event are unchanged. Request/response legs (GETDATA and the
 //! block transfer it pulls) are modelled as reliable-but-slowed: they pay
 //! the regional slow factor via [`BlockFaults::scaled`] but never drop,
 //! so a delivered INV can always complete (no request deadlock). Link

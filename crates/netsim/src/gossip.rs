@@ -16,8 +16,7 @@
 //! [`TopologyView::gossip_into`] + [`GossipScratch`]: events are single
 //! packed `u128` words (time bits · insertion sequence · kind · CSR edge
 //! index — no boxed events, no per-event allocation) in one reusable
-//! [`PackedQueue`] — the calendar queue of [`crate::pq`] by default, the
-//! reference `BinaryHeap` on request, bit-identical pop order either way —
+//! [`CalendarQueue`] (bit-identical pop order to a `BinaryHeap`) —
 //! deliveries land in a flat per-edge matrix indexed by the view's CSR
 //! edge offsets (replacing one `BTreeMap` per node per block), and
 //! `has_block`/`requested` are bit-packed words. Two structural wins
@@ -55,7 +54,7 @@ use crate::graph::Topology;
 use crate::latency::LatencyModel;
 use crate::node::NodeId;
 use crate::population::Population;
-use crate::pq::{PackedQueue, QueueKind};
+use crate::pq::CalendarQueue;
 use crate::time::SimTime;
 use crate::view::{coverage_scan, coverage_times_from_arrivals, TopologyView};
 
@@ -327,13 +326,12 @@ fn event_payload(word: u128) -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct GossipScratch {
     source: NodeId,
-    /// Min-queue of packed event words (see [`pack_event`]); calendar or
-    /// reference heap per [`GossipScratch::with_queue`]. Only events
+    /// Min-queue of packed event words (see [`pack_event`]). Only events
     /// with a possible side effect are ever pushed; provably-inert ones
     /// (an INV to a node that has already requested, a flood BLOCK to a
     /// node that already holds it) only consume a sequence number, so the
     /// pop order of the rest replays the legacy queue exactly.
-    queue: PackedQueue<u128>,
+    queue: CalendarQueue<u128>,
     /// Next insertion sequence (reset per block). Counts every event the
     /// legacy engine would have scheduled, pushed or not.
     seq: u32,
@@ -378,37 +376,22 @@ fn bit_set(words: &mut [u64], i: usize) {
 }
 
 impl GossipScratch {
-    /// Creates an empty scratch (buffers grow on first use) on the
-    /// default queue kind.
+    /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty scratch running on the given queue kind.
-    pub fn with_queue(kind: QueueKind) -> Self {
-        GossipScratch {
-            queue: PackedQueue::with_kind(kind),
-            ..Self::default()
-        }
-    }
-
     /// Creates a scratch pre-sized for `nodes` nodes and `directed_edges`
     /// directed adjacency entries (see
-    /// [`TopologyView::directed_edge_count`]) on the default queue kind.
-    pub fn with_capacity(nodes: usize, directed_edges: usize) -> Self {
-        Self::with_capacity_and_queue(nodes, directed_edges, QueueKind::default())
-    }
-
-    /// Like [`GossipScratch::with_capacity`], on the given queue kind.
+    /// [`TopologyView::directed_edge_count`]).
     ///
     /// # Panics
     ///
     /// Panics if `nodes` or `directed_edges` reaches
-    /// [`PACKED_PAYLOAD_CAP`]; use
-    /// [`GossipScratch::try_with_capacity_and_queue`] for a checked
-    /// error.
-    pub fn with_capacity_and_queue(nodes: usize, directed_edges: usize, kind: QueueKind) -> Self {
-        match Self::try_with_capacity_and_queue(nodes, directed_edges, kind) {
+    /// [`PACKED_PAYLOAD_CAP`]; use [`GossipScratch::try_with_capacity`]
+    /// for a checked error.
+    pub fn with_capacity(nodes: usize, directed_edges: usize) -> Self {
+        match Self::try_with_capacity(nodes, directed_edges) {
             Ok(scratch) => scratch,
             Err(e) => panic!("{e}"),
         }
@@ -424,35 +407,15 @@ impl GossipScratch {
     ///
     /// [`NetsimError::WorldTooLarge`] or [`NetsimError::AllocationFailed`].
     pub fn try_with_capacity(nodes: usize, directed_edges: usize) -> Result<Self, NetsimError> {
-        Self::try_with_capacity_and_queue(nodes, directed_edges, QueueKind::default())
-    }
-
-    /// Like [`GossipScratch::try_with_capacity`], on the given queue
-    /// kind.
-    pub fn try_with_capacity_and_queue(
-        nodes: usize,
-        directed_edges: usize,
-        kind: QueueKind,
-    ) -> Result<Self, NetsimError> {
         if nodes >= PACKED_PAYLOAD_CAP || directed_edges >= PACKED_PAYLOAD_CAP {
             return Err(NetsimError::WorldTooLarge {
                 nodes,
                 directed_edges,
             });
         }
-        // INV mode fires ~1 event per directed edge plus ~3 per node,
-        // but inert events never reach the queue and only a fraction of
-        // the rest is pending at once.
-        let queue_capacity = directed_edges / 2 + nodes;
-        let mut queue = PackedQueue::with_kind(kind);
-        queue
-            .try_reserve(queue_capacity)
-            .map_err(|_| NetsimError::AllocationFailed {
-                bytes: queue_capacity.saturating_mul(std::mem::size_of::<u128>()),
-            })?;
         Ok(GossipScratch {
             source: NodeId::new(0),
-            queue,
+            queue: CalendarQueue::new(),
             seq: 0,
             has_block: try_vec(nodes.div_ceil(64))?,
             requested: try_vec(nodes.div_ceil(64))?,
@@ -478,11 +441,6 @@ impl GossipScratch {
     /// point).
     pub fn take_counters(&mut self) -> SimCounters {
         std::mem::take(&mut self.counters)
-    }
-
-    /// Which priority-queue implementation this scratch simulates on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// The source of the last simulated block.
@@ -811,7 +769,7 @@ impl TopologyView {
                     // Events that can no longer have any other effect —
                     // the target has already requested (INV) or already
                     // holds the block (flood) — are provably no-ops at pop
-                    // and skip the heap, consuming only their sequence
+                    // and skip the queue, consuming only their sequence
                     // number.
                     scratch.counters.gossip_relays += 1;
                     let u = event_payload(word);
@@ -935,8 +893,8 @@ impl TopologyView {
     /// the [`faults`](crate::faults) module contract: a dropped or
     /// down-link announcement records no delivery and consumes exactly
     /// one sequence number (like an inert event), so the tie-break
-    /// numbering of every later event — and therefore the pop order on
-    /// both queue kinds — is unchanged. GETDATA and the block transfer it
+    /// numbering of every later event — and therefore the pop order —
+    /// is unchanged. GETDATA and the block transfer it
     /// pulls are reliable-but-slowed ([`BlockFaults::scaled`]): a
     /// delivered INV can always complete.
     ///
@@ -1131,8 +1089,8 @@ impl TopologyView {
     /// [`GossipScratch::neighbor_deliveries`] (the delivery matrix is
     /// epoch-stamped per message, so the latter two need no batch-specific
     /// variant). Results are **bit-identical** to running
-    /// [`TopologyView::gossip_into`] once per message on a fresh scratch,
-    /// on either queue kind — exercised by `tests/gossip_batch.rs`.
+    /// [`TopologyView::gossip_into`] once per message on a fresh scratch
+    /// — exercised by `tests/gossip_batch.rs`.
     ///
     /// Faults are a block-path concern and are not applied here; the
     /// traffic layer documents message streams as fault-free.

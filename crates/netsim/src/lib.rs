@@ -36,10 +36,9 @@
 //!   `INV`/`GETDATA` exchange with bandwidth, cross-validated against the
 //!   analytic engine. [`gossip_block`] is the thin per-call wrapper.
 //! * [`pq`] — the deterministic calendar/bucket priority queue both
-//!   scratch engines run on by default ([`QueueKind::Calendar`]): exact
-//!   packed keys inside sub-millisecond buckets, pop order bit-identical
-//!   to the reference `BinaryHeap` ([`QueueKind::BinaryHeap`], kept
-//!   runtime-selectable for the cross-engine equivalence suite).
+//!   scratch engines run on: exact packed keys inside sub-millisecond
+//!   buckets, pop order bit-identical to a `BinaryHeap` (the oracle its
+//!   tests and the cross-engine equivalence suite compare against).
 //! * [`MinerSampler`] — hash-power-proportional block sources.
 //! * [`dynamics`] — node lifetime as a simulated process:
 //!   [`ChurnProcess`] (Poisson arrivals, lognormal/Weibull/exponential
@@ -92,7 +91,7 @@
 //! draws — applied to the announcement leg of each directed edge at the
 //! moment it is relaxed/scheduled (drops consume an event sequence number
 //! without scheduling, exactly like an inert event), so faulted floods
-//! are bit-identical across thread counts and queue kinds, and an inert
+//! are bit-identical across thread and shard counts, and an inert
 //! plan is bit-identical to no plan at all. See the [`faults`] module
 //! docs for where each fault lands in the event pipeline.
 //!
@@ -172,7 +171,7 @@ pub use latency::{
 pub use mining::MinerSampler;
 pub use node::{Behavior, NodeId, NodeProfile, Region};
 pub use population::{HashPowerDist, IdRemap, Population, PopulationBuilder, ValidationDist};
-pub use pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey};
+pub use pq::{CalendarQueue, TimeKey};
 pub use time::SimTime;
 pub use traffic::{FanoutPolicy, TrafficClass, TrafficConfig, TrafficMessage};
 pub use view::{BroadcastScratch, RoundDelta, ShardWorkspace, TopologyView};

@@ -42,10 +42,11 @@
 //! simulated propagation) spill into an exact `BinaryHeap` overflow, so
 //! correctness never depends on the horizon.
 //!
-//! [`PackedQueue`] is the runtime-selectable front end: the scratch
-//! engines default to the calendar ([`QueueKind::Calendar`]) and keep the
-//! binary heap available as the bit-identical reference
-//! ([`QueueKind::BinaryHeap`]) for the cross-engine equivalence suite.
+//! [`CalendarQueue`] is the only production queue: both scratch engines
+//! hold one directly. The binary heap survives as the test oracle the
+//! unit tests below, `tests/proptests.rs` and `tests/pq_equivalence.rs`
+//! (via the heap-based seed engine in [`crate::reference`]) compare
+//! against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -99,18 +100,6 @@ impl TimeKey for u128 {
     fn time_ms(self) -> f64 {
         f64::from_bits((self >> 64) as u64)
     }
-}
-
-/// Which priority-queue implementation a scratch engine runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// `std::collections::BinaryHeap` — the original engine and the
-    /// bit-identical reference the equivalence suite compares against.
-    BinaryHeap,
-    /// The calendar/bucket queue of this module: O(1) amortized
-    /// operations, bit-identical pop order (the default).
-    #[default]
-    Calendar,
 }
 
 /// A monotone calendar queue over packed time keys (see the module docs
@@ -282,136 +271,6 @@ impl<K: TimeKey> CalendarQueue<K> {
     }
 }
 
-/// The runtime-selectable priority queue the scratch engines run on:
-/// either the reference `BinaryHeap` or the [`CalendarQueue`], behind one
-/// push/pop interface. Pop order is bit-identical between the two (the
-/// calendar's exactness contract), so the choice is pure performance.
-#[derive(Debug, Clone)]
-pub enum PackedQueue<K> {
-    /// The reference heap (`BinaryHeap<Reverse<K>>`).
-    Heap(BinaryHeap<Reverse<K>>),
-    /// The calendar queue.
-    Calendar(CalendarQueue<K>),
-}
-
-impl<K: TimeKey> Default for PackedQueue<K> {
-    fn default() -> Self {
-        PackedQueue::with_kind(QueueKind::default())
-    }
-}
-
-impl<K: TimeKey> PackedQueue<K> {
-    /// Creates an empty queue of the given kind.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::BinaryHeap => PackedQueue::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => PackedQueue::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Creates an empty heap-kind queue with pre-sized capacity (the
-    /// calendar wheel sizes itself on first use instead).
-    pub fn with_kind_and_capacity(kind: QueueKind, capacity: usize) -> Self {
-        match kind {
-            QueueKind::BinaryHeap => PackedQueue::Heap(BinaryHeap::with_capacity(capacity)),
-            QueueKind::Calendar => PackedQueue::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    /// Reserves room for `additional` more keys in a heap-kind queue
-    /// (a no-op for the calendar wheel, which sizes itself on first
-    /// use), reporting allocation failure instead of aborting.
-    ///
-    /// # Errors
-    ///
-    /// The allocator's refusal, as [`std::collections::TryReserveError`].
-    pub fn try_reserve(
-        &mut self,
-        additional: usize,
-    ) -> Result<(), std::collections::TryReserveError> {
-        match self {
-            PackedQueue::Heap(h) => h.try_reserve_exact(additional),
-            PackedQueue::Calendar(_) => Ok(()),
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            PackedQueue::Heap(_) => QueueKind::BinaryHeap,
-            PackedQueue::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-
-    /// Number of queued keys.
-    pub fn len(&self) -> usize {
-        match self {
-            PackedQueue::Heap(h) => h.len(),
-            PackedQueue::Calendar(c) => c.len(),
-        }
-    }
-
-    /// `true` when no keys are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all keys, keeping allocations for reuse.
-    #[inline]
-    pub fn clear(&mut self) {
-        match self {
-            PackedQueue::Heap(h) => h.clear(),
-            PackedQueue::Calendar(c) => c.clear(),
-        }
-    }
-
-    /// Pushes a key (see [`CalendarQueue::push`] for the monotone
-    /// contract the calendar kind enforces).
-    #[inline]
-    pub fn push(&mut self, key: K) {
-        match self {
-            PackedQueue::Heap(h) => h.push(Reverse(key)),
-            PackedQueue::Calendar(c) => c.push(key),
-        }
-    }
-
-    /// Pops the minimum key; identical order for both kinds.
-    #[inline]
-    pub fn pop(&mut self) -> Option<K> {
-        match self {
-            PackedQueue::Heap(h) => h.pop().map(|Reverse(k)| k),
-            PackedQueue::Calendar(c) => c.pop(),
-        }
-    }
-}
-
-mod codec {
-    //! Checkpoint codec impls (see `serde::bin`).
-
-    use serde::bin::{Decode, DecodeError, Encode, Reader};
-
-    use super::QueueKind;
-
-    impl Encode for QueueKind {
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                QueueKind::BinaryHeap => 0u8.encode(out),
-                QueueKind::Calendar => 1u8.encode(out),
-            }
-        }
-    }
-
-    impl Decode for QueueKind {
-        fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-            match u8::decode(r)? {
-                0 => Ok(QueueKind::BinaryHeap),
-                1 => Ok(QueueKind::Calendar),
-                _ => Err(DecodeError::new("invalid queue-kind tag")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,25 +409,23 @@ mod tests {
     }
 
     #[test]
-    fn packed_queue_kinds_agree() {
-        let mut heap = PackedQueue::with_kind(QueueKind::BinaryHeap);
-        let mut cal = PackedQueue::with_kind(QueueKind::Calendar);
-        assert_eq!(heap.kind(), QueueKind::BinaryHeap);
-        assert_eq!(cal.kind(), QueueKind::Calendar);
+    fn bulk_pushes_match_binary_heap() {
+        let mut heap = BinaryHeap::new();
+        let mut cal = CalendarQueue::new();
         for i in 0..200u32 {
             let k = key(f64::from(i * 37 % 100) * 0.77, i);
-            heap.push(k);
+            heap.push(Reverse(k));
             cal.push(k);
         }
         assert_eq!(heap.len(), cal.len());
         loop {
-            let (a, b) = (heap.pop(), cal.pop());
+            let (a, b) = (heap.pop().map(|Reverse(k)| k), cal.pop());
             assert_eq!(a, b);
             if a.is_none() {
                 break;
             }
         }
-        assert!(heap.is_empty() && cal.is_empty());
+        assert!(cal.is_empty());
     }
 
     #[test]

@@ -29,9 +29,8 @@
 //!
 //! # Bucket quantization and determinism
 //!
-//! The Dijkstra frontier is a [`PackedQueue`]: either the reference
-//! `BinaryHeap` or (by default) the calendar queue of [`crate::pq`],
-//! selected per scratch via [`QueueKind`]. The calendar *places* a key by
+//! The Dijkstra frontier is the [`CalendarQueue`] of [`crate::pq`]. It
+//! *places* a key by
 //! quantizing its time into a sub-millisecond bucket but *orders* by the
 //! exact packed key — `(time.to_bits(), node id)`, whose high bits are
 //! the untouched IEEE-754 time — sorting each bucket before draining it.
@@ -39,8 +38,9 @@
 //! buckets refined by ascending in-bucket keys reproduce the heap's pop
 //! sequence key for key: no float is rounded anywhere, ties at the exact
 //! same time still break by ascending node id, and every downstream
-//! arrival/relay float is bit-identical whichever queue ran (proven by
-//! `tests/pq_equivalence.rs` and the pq proptests).
+//! arrival/relay float is bit-identical to a heap-driven flood (proven
+//! against the seed engine by `tests/pq_equivalence.rs` and against
+//! `BinaryHeap` by the pq proptests).
 
 use crate::broadcast::Propagation;
 use crate::counters::SimCounters;
@@ -51,7 +51,7 @@ use crate::graph::Topology;
 use crate::latency::LatencyModel;
 use crate::node::{Behavior, NodeId};
 use crate::population::{IdRemap, Population};
-use crate::pq::{PackedQueue, QueueKind};
+use crate::pq::CalendarQueue;
 use crate::time::SimTime;
 
 /// How a node relays once it first holds a block (resolved from
@@ -464,7 +464,7 @@ impl TopologyView {
     /// become frontier messages, merged between waves in deterministic
     /// `(shard, packed-key)` order. See [`ShardWorkspace`] for why the
     /// result is **bit-identical** to the single-queue flood — on any
-    /// shard count, thread count or [`QueueKind`].
+    /// shard or thread count.
     pub fn broadcast_sharded_into(
         &self,
         source: NodeId,
@@ -1043,10 +1043,9 @@ impl RoundDelta {
 ///
 /// Create once per worker thread and reuse across blocks; after the first
 /// flood of a given network size, subsequent floods perform no heap
-/// allocation. The frontier is a [`PackedQueue`] — the calendar queue by
-/// default, the reference `BinaryHeap` on request
-/// ([`BroadcastScratch::with_queue`]); pop order, and therefore every
-/// output float, is bit-identical either way (see the module docs).
+/// allocation. The frontier is a [`CalendarQueue`], whose pop order —
+/// and therefore every output float — is a `BinaryHeap`'s (see the
+/// module docs).
 #[derive(Debug, Clone, Default)]
 pub struct BroadcastScratch {
     source: NodeId,
@@ -1056,7 +1055,7 @@ pub struct BroadcastScratch {
     /// where the IEEE-754 bit pattern is monotone in the value, so integer
     /// ordering reproduces `SimTime`'s total order exactly at lower
     /// compare cost, with exact-time ties broken by ascending node id.
-    queue: PackedQueue<(u64, u32)>,
+    queue: CalendarQueue<(u64, u32)>,
     coverage: Vec<(SimTime, f64)>,
     select: Vec<SimTime>,
     /// Hot-path event tallies, accumulated across floods until harvested
@@ -1066,33 +1065,19 @@ pub struct BroadcastScratch {
 }
 
 impl BroadcastScratch {
-    /// Creates an empty scratch (buffers grow on first use) on the
-    /// default queue kind.
+    /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty scratch running on the given queue kind.
-    pub fn with_queue(kind: QueueKind) -> Self {
-        BroadcastScratch {
-            queue: PackedQueue::with_kind(kind),
-            ..Self::default()
-        }
-    }
-
-    /// Creates a scratch pre-sized for `n` nodes on the default queue
-    /// kind.
+    /// Creates a scratch pre-sized for `n` nodes (the frontier wheel
+    /// sizes itself on first use).
     pub fn with_capacity(n: usize) -> Self {
-        Self::with_capacity_and_queue(n, QueueKind::default())
-    }
-
-    /// Creates a scratch pre-sized for `n` nodes on the given queue kind.
-    pub fn with_capacity_and_queue(n: usize, kind: QueueKind) -> Self {
         BroadcastScratch {
             source: NodeId::new(0),
             arrival: Vec::with_capacity(n),
             relay_at: Vec::with_capacity(n),
-            queue: PackedQueue::with_kind_and_capacity(kind, n),
+            queue: CalendarQueue::new(),
             coverage: Vec::with_capacity(n),
             select: Vec::with_capacity(n),
             counters: SimCounters::ZERO,
@@ -1109,11 +1094,6 @@ impl BroadcastScratch {
     /// point).
     pub fn take_counters(&mut self) -> SimCounters {
         std::mem::take(&mut self.counters)
-    }
-
-    /// Which priority-queue implementation this scratch floods on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// The source of the last flood.
@@ -1196,7 +1176,7 @@ struct ShardState {
     /// Arrival labels for the owned range, indexed by `node - base`.
     arrival: Vec<SimTime>,
     /// Local Dijkstra frontier (same packed keys as the flat flood).
-    queue: PackedQueue<(u64, u32)>,
+    queue: CalendarQueue<(u64, u32)>,
     /// Cross-shard candidates `(target node, time bits)` emitted this
     /// wave; drained into the merge, allocation reused across waves.
     outbox: Vec<(u32, u64)>,
@@ -1222,8 +1202,7 @@ struct ShardState {
 /// every such candidate is ≥ the final label it is compared against and
 /// therefore cannot change any minimum. Hence arrivals, and the relay
 /// starts derived from them by a pure final pass, match the single-queue
-/// flood bit for bit on every shard count, thread count and
-/// [`QueueKind`].
+/// flood bit for bit on every shard and thread count.
 ///
 /// Between parallel waves, cross-shard candidates are merged
 /// sequentially in sorted `(shard, packed-key)` order — shard ownership
@@ -1236,9 +1215,7 @@ struct ShardState {
 pub struct ShardWorkspace {
     /// Requested shard count (clamped to the node count per flood).
     shards: usize,
-    /// Queue implementation each shard's frontier runs on.
-    kind: QueueKind,
-    /// Per-shard state, rebuilt only when the geometry or kind changes.
+    /// Per-shard state, rebuilt only when the geometry changes.
     states: Vec<ShardState>,
     /// Merge buffer for the cross-shard candidates of one wave.
     inbox: Vec<(u32, u64)>,
@@ -1246,20 +1223,12 @@ pub struct ShardWorkspace {
 
 impl ShardWorkspace {
     /// Creates a workspace that splits floods into `shards` contiguous
-    /// node ranges, on the default queue kind. `shards` is clamped to at
-    /// least 1 (and to the node count at flood time); 1 shard reproduces
-    /// the flat flood through the same code path.
+    /// node ranges. `shards` is clamped to at least 1 (and to the node
+    /// count at flood time); 1 shard reproduces the flat flood through
+    /// the same code path.
     pub fn new(shards: usize) -> Self {
-        Self::with_queue(shards, QueueKind::default())
-    }
-
-    /// [`ShardWorkspace::new`] on an explicit [`QueueKind`] for the
-    /// per-shard frontiers. The kind is pure performance — pop order is
-    /// bit-identical either way.
-    pub fn with_queue(shards: usize, kind: QueueKind) -> Self {
         ShardWorkspace {
             shards: shards.max(1),
-            kind,
             states: Vec::new(),
             inbox: Vec::new(),
         }
@@ -1268,11 +1237,6 @@ impl ShardWorkspace {
     /// The configured shard count (before per-flood clamping).
     pub fn shard_count(&self) -> usize {
         self.shards
-    }
-
-    /// Which priority-queue implementation the shard frontiers run on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// Prepares the per-shard states for a flood over `n` nodes split
@@ -1285,7 +1249,6 @@ impl ShardWorkspace {
                 s.base + s.arrival.len() != n || s.base != (shards - 1) * shard_size
             });
         if geometry_changed {
-            let kind = self.kind;
             self.states = (0..shards)
                 .map(|k| {
                     let base = k * shard_size;
@@ -1293,7 +1256,7 @@ impl ShardWorkspace {
                     ShardState {
                         base,
                         arrival: vec![SimTime::INFINITY; len],
-                        queue: PackedQueue::with_kind(kind),
+                        queue: CalendarQueue::new(),
                         outbox: Vec::new(),
                         counters: SimCounters::ZERO,
                     }
@@ -1451,7 +1414,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_flood_is_bit_identical_across_shards_and_queues() {
+    fn sharded_flood_is_bit_identical_across_shards() {
         for seed in 0..4 {
             let (pop, lat, topo, mut rng) = random_world(150, seed);
             let view = TopologyView::new(&topo, &lat, &pop);
@@ -1459,22 +1422,20 @@ mod tests {
             for _ in 0..3 {
                 let src = NodeId::new(rng.gen_range(0..150));
                 view.broadcast_into(src, &mut reference);
-                for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-                    for shards in [1, 2, 3, 7] {
-                        let mut ws = ShardWorkspace::with_queue(shards, kind);
-                        let mut scratch = BroadcastScratch::with_queue(kind);
-                        view.broadcast_sharded_into(src, &mut scratch, &mut ws);
-                        assert_eq!(
-                            scratch.arrivals(),
-                            reference.arrivals(),
-                            "arrivals diverged: seed {seed}, {shards} shards, {kind:?}"
-                        );
-                        assert_eq!(
-                            scratch.relay_starts(),
-                            reference.relay_starts(),
-                            "relay starts diverged: seed {seed}, {shards} shards, {kind:?}"
-                        );
-                    }
+                for shards in [1, 2, 3, 7] {
+                    let mut ws = ShardWorkspace::new(shards);
+                    let mut scratch = BroadcastScratch::new();
+                    view.broadcast_sharded_into(src, &mut scratch, &mut ws);
+                    assert_eq!(
+                        scratch.arrivals(),
+                        reference.arrivals(),
+                        "arrivals diverged: seed {seed}, {shards} shards"
+                    );
+                    assert_eq!(
+                        scratch.relay_starts(),
+                        reference.relay_starts(),
+                        "relay starts diverged: seed {seed}, {shards} shards"
+                    );
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Batched-vs-sequential bit-equality: a k-message
 //! [`TopologyView::gossip_batch_into`] pass must produce delivery
 //! matrices, arrivals and coverage times **bit-identical** to k
-//! independent [`TopologyView::gossip_into`] calls, on both
-//! [`QueueKind`]s — the correctness contract that lets the traffic layer
+//! independent [`TopologyView::gossip_into`] calls — the correctness
+//! contract that lets the traffic layer
 //! amortize per-message buffer resets without changing a single float.
 
 use rand::rngs::StdRng;
@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use perigee_netsim::gossip::BatchMessage;
 use perigee_netsim::{
     ConnectionLimits, GeoLatencyModel, GossipConfig, GossipScratch, NodeId, Population,
-    PopulationBuilder, QueueKind, SimTime, Topology, TopologyView, TrafficConfig,
+    PopulationBuilder, SimTime, Topology, TopologyView, TrafficConfig,
 };
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
@@ -46,12 +46,12 @@ fn mixed_batch(n: u32, k: usize, rng: &mut StdRng) -> Vec<BatchMessage> {
         .collect()
 }
 
-/// Runs `batch` once batched and once as k sequential single passes on
-/// `kind`, asserting every per-message observable is bit-identical.
-fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], kind: QueueKind) {
+/// Runs `batch` once batched and once as k sequential single passes,
+/// asserting every per-message observable is bit-identical.
+fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage]) {
     let m = view.directed_edge_count();
-    let mut batched = GossipScratch::with_queue(kind);
-    let mut single = GossipScratch::with_queue(kind);
+    let mut batched = GossipScratch::new();
+    let mut single = GossipScratch::new();
     let mut visited = 0usize;
     view.gossip_batch_into(batch, &mut batched, |i, s| {
         visited += 1;
@@ -63,14 +63,14 @@ fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], k
             assert_eq!(
                 s.batch_arrival(v).as_ms().to_bits(),
                 single.arrival(v).as_ms().to_bits(),
-                "message {i} arrival at {v} ({kind:?})"
+                "message {i} arrival at {v}"
             );
         }
         for e in 0..m {
             assert_eq!(
                 s.delivery(e).as_ms().to_bits(),
                 single.delivery(e).as_ms().to_bits(),
-                "message {i} delivery matrix entry {e} ({kind:?})"
+                "message {i} delivery matrix entry {e}"
             );
         }
         assert_eq!(s.batch_reached(), single.reached());
@@ -79,20 +79,18 @@ fn assert_batch_equals_sequential(view: &TopologyView, batch: &[BatchMessage], k
         s.batch_coverage_times_into(view, &fractions, &mut via_batch);
         let mut via_single = [SimTime::ZERO; 3];
         single.coverage_times_into(view, &fractions, &mut via_single);
-        assert_eq!(via_batch, via_single, "message {i} coverage ({kind:?})");
+        assert_eq!(via_batch, via_single, "message {i} coverage");
     });
     assert_eq!(visited, batch.len());
 }
 
 #[test]
-fn batch_is_bit_identical_to_sequential_on_both_queue_kinds() {
+fn batch_is_bit_identical_to_sequential() {
     for seed in 0..3 {
         let (pop, lat, topo, mut rng) = random_world(60, seed + 40);
         let view = TopologyView::new(&topo, &lat, &pop);
         let batch = mixed_batch(60, 24, &mut rng);
-        for kind in [QueueKind::Calendar, QueueKind::BinaryHeap] {
-            assert_batch_equals_sequential(&view, &batch, kind);
-        }
+        assert_batch_equals_sequential(&view, &batch);
     }
 }
 
@@ -127,7 +125,6 @@ fn traffic_stream_batches_match_sequential_passes() {
     assert!(messages.len() > 400, "paper stream should be dense");
     let mut batch = Vec::new();
     traffic.batch_for(&messages, &mut batch);
-    // Sample-check the full stream on the calendar queue (the whole
-    // stream on both kinds is covered by the smaller worlds above).
-    assert_batch_equals_sequential(&view, &batch[..200], QueueKind::Calendar);
+    // Sample-check the first 200 messages of the stream.
+    assert_batch_equals_sequential(&view, &batch[..200]);
 }

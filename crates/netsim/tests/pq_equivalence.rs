@@ -1,25 +1,29 @@
-//! Golden cross-engine tests for the calendar queue: flood and gossip on
-//! [`QueueKind::Calendar`] must be **event-for-event identical** to the
-//! [`QueueKind::BinaryHeap`] reference — same arrivals, same relay
-//! starts, same per-edge delivery matrices, same coverage floats, across
-//! seeds, network sizes, gossip modes, bandwidth models and adversarial
-//! behaviours (the `gossip_legacy.rs` pattern, one engine layer up).
+//! Golden cross-engine tests for the calendar queue: the calendar-queue
+//! flood and gossip engines must be **event-for-event identical** to the
+//! heap-driven seed engine [`perigee_netsim::reference::gossip_block`]
+//! (a `BinaryHeap`-backed [`EventQueue`]) — same arrivals, same
+//! per-neighbor delivery logs — across seeds, network sizes, gossip
+//! modes, bandwidth models and adversarial behaviours. The analytic flood
+//! is checked against the oracle's arrivals under
+//! [`GossipConfig::flood()`].
 //!
-//! The heap path is itself cross-validated against the seed engines
-//! (`tests/gossip_legacy.rs`, `view::tests`), so equality here chains all
-//! the way back to the original implementations. Thread-count
-//! independence of calendar-queue rounds is covered by the engine-level
-//! suite in `crates/core/tests/determinism.rs` (blocks within a round are
+//! Queue-level equality (calendar vs `BinaryHeap` pop for pop) lives in
+//! `tests/proptests.rs` and the `pq` unit tests. Thread-count
+//! independence of rounds is covered by the engine-level suite in
+//! `crates/core/tests/determinism.rs` (blocks within a round are
 //! simulated on per-worker scratches; this file pins down the per-block
 //! engines the workers run).
+//!
+//! [`EventQueue`]: perigee_netsim::EventQueue
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use perigee_netsim::reference::gossip_block as heap_gossip_block;
 use perigee_netsim::{
     Behavior, BroadcastScratch, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipMode,
-    GossipScratch, NodeId, Population, PopulationBuilder, QueueKind, SimTime, Topology,
-    TopologyView, TransferModel,
+    GossipScratch, NodeId, Population, PopulationBuilder, SimTime, Topology, TopologyView,
+    TransferModel,
 };
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
@@ -38,53 +42,45 @@ fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, 
     (pop, lat, topo, rng)
 }
 
-/// Floods `src` on both queue kinds and asserts every observable output
-/// is bit-equal: arrivals, relay starts, reached count and multi-fraction
-/// coverage times.
+/// Floods `src` on the calendar-queue analytic engine and asserts its
+/// arrivals are bit-equal to the heap oracle's flood-gossip arrivals.
 fn assert_flood_agrees(
+    topo: &Topology,
+    lat: &GeoLatencyModel,
+    pop: &Population,
     view: &TopologyView,
     src: NodeId,
-    heap: &mut BroadcastScratch,
     cal: &mut BroadcastScratch,
 ) {
-    assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
-    assert_eq!(cal.queue_kind(), QueueKind::Calendar);
-    view.broadcast_into(src, heap);
+    let (heap_arrivals, _) = heap_gossip_block(topo, lat, pop, src, &GossipConfig::flood());
     view.broadcast_into(src, cal);
-    assert_eq!(heap.arrivals(), cal.arrivals(), "arrival times diverged");
-    assert_eq!(
-        heap.relay_starts(),
-        cal.relay_starts(),
-        "relay starts diverged"
-    );
-    assert_eq!(heap.reached(), cal.reached());
-    let fractions = [0.1, 0.5, 0.9, 1.0];
-    let mut cov_heap = [SimTime::ZERO; 4];
-    let mut cov_cal = [SimTime::ZERO; 4];
-    heap.coverage_times_into(view, &fractions, &mut cov_heap);
-    cal.coverage_times_into(view, &fractions, &mut cov_cal);
-    assert_eq!(cov_heap, cov_cal, "coverage times diverged");
+    assert_eq!(cal.arrivals(), &heap_arrivals[..], "arrival times diverged");
 }
 
-/// Simulates `src` on both queue kinds under `cfg` and asserts the full
-/// event record is bit-equal: arrivals, the entire per-edge delivery
-/// matrix and the owned outcome conversion.
+/// Simulates `src` under `cfg` on the calendar-queue gossip engine and
+/// asserts the full event record is bit-equal to the heap oracle's:
+/// arrivals and every node's per-neighbor delivery log.
 fn assert_gossip_agrees(
+    topo: &Topology,
+    lat: &GeoLatencyModel,
+    pop: &Population,
     view: &TopologyView,
     src: NodeId,
     cfg: &GossipConfig,
-    heap: &mut GossipScratch,
     cal: &mut GossipScratch,
 ) {
-    assert_eq!(heap.queue_kind(), QueueKind::BinaryHeap);
-    assert_eq!(cal.queue_kind(), QueueKind::Calendar);
-    view.gossip_into(src, cfg, heap);
+    let (heap_arrivals, heap_logs) = heap_gossip_block(topo, lat, pop, src, cfg);
     view.gossip_into(src, cfg, cal);
-    assert_eq!(heap.arrivals(), cal.arrivals(), "arrival times diverged");
-    for e in 0..view.directed_edge_count() {
-        assert_eq!(heap.delivery(e), cal.delivery(e), "delivery {e} diverged");
+    assert_eq!(cal.arrivals(), &heap_arrivals[..], "arrival times diverged");
+    let outcome = cal.to_outcome(view);
+    for (i, log) in heap_logs.iter().enumerate() {
+        let v = NodeId::new(i as u32);
+        assert_eq!(
+            outcome.neighbor_deliveries(v),
+            log,
+            "deliveries at {v:?} diverged"
+        );
     }
-    assert_eq!(heap.to_outcome(view), cal.to_outcome(view));
 }
 
 #[test]
@@ -92,11 +88,10 @@ fn calendar_flood_is_bit_identical_across_seeds_and_sizes() {
     for (n, seed) in [(20usize, 0u64), (50, 1), (50, 2), (120, 3), (250, 4)] {
         let (pop, lat, topo, mut rng) = random_world(n, seed);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut heap = BroadcastScratch::with_queue(QueueKind::BinaryHeap);
-        let mut cal = BroadcastScratch::with_queue(QueueKind::Calendar);
+        let mut cal = BroadcastScratch::new();
         for _ in 0..4 {
             let src = NodeId::new(rng.gen_range(0..n as u32));
-            assert_flood_agrees(&view, src, &mut heap, &mut cal);
+            assert_flood_agrees(&topo, &lat, &pop, &view, src, &mut cal);
         }
     }
 }
@@ -106,8 +101,7 @@ fn calendar_gossip_is_bit_identical_across_seeds_modes_and_sizes() {
     for (n, seed) in [(20usize, 10u64), (60, 11), (60, 12), (150, 13)] {
         let (pop, lat, topo, mut rng) = random_world(n, seed);
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut heap = GossipScratch::with_queue(QueueKind::BinaryHeap);
-        let mut cal = GossipScratch::with_queue(QueueKind::Calendar);
+        let mut cal = GossipScratch::new();
         for cfg in [
             GossipConfig::flood(),
             GossipConfig::inv_getdata(0.0),
@@ -115,7 +109,7 @@ fn calendar_gossip_is_bit_identical_across_seeds_modes_and_sizes() {
         ] {
             for _ in 0..3 {
                 let src = NodeId::new(rng.gen_range(0..n as u32));
-                assert_gossip_agrees(&view, src, &cfg, &mut heap, &mut cal);
+                assert_gossip_agrees(&topo, &lat, &pop, &view, src, &cfg, &mut cal);
             }
         }
     }
@@ -140,8 +134,7 @@ fn calendar_engines_agree_under_bandwidth_skew() {
             let _ = topo.connect(u, v);
         }
         let view = TopologyView::new(&topo, &lat, &pop);
-        let mut heap = GossipScratch::with_queue(QueueKind::BinaryHeap);
-        let mut cal = GossipScratch::with_queue(QueueKind::Calendar);
+        let mut cal = GossipScratch::new();
         for cfg in [
             GossipConfig {
                 mode: GossipMode::Flood,
@@ -150,7 +143,7 @@ fn calendar_engines_agree_under_bandwidth_skew() {
             GossipConfig::inv_getdata(1.0),
         ] {
             let src = NodeId::new(rng.gen_range(0..60));
-            assert_gossip_agrees(&view, src, &cfg, &mut heap, &mut cal);
+            assert_gossip_agrees(&topo, &lat, &pop, &view, src, &cfg, &mut cal);
         }
     }
 }
@@ -165,57 +158,39 @@ fn calendar_engines_agree_under_adversarial_behaviors() {
     pop.profile_mut(NodeId::new(11)).behavior = Behavior::Delay(SimTime::from_ms(2_500.0));
     pop.profile_mut(NodeId::new(29)).behavior = Behavior::Delay(SimTime::from_ms(301.5));
     let view = TopologyView::new(&topo, &lat, &pop);
-    let mut fheap = BroadcastScratch::with_queue(QueueKind::BinaryHeap);
-    let mut fcal = BroadcastScratch::with_queue(QueueKind::Calendar);
-    let mut gheap = GossipScratch::with_queue(QueueKind::BinaryHeap);
-    let mut gcal = GossipScratch::with_queue(QueueKind::Calendar);
+    let mut fcal = BroadcastScratch::new();
+    let mut gcal = GossipScratch::new();
     for _ in 0..4 {
         let src = NodeId::new(rng.gen_range(0..50));
-        assert_flood_agrees(&view, src, &mut fheap, &mut fcal);
+        assert_flood_agrees(&topo, &lat, &pop, &view, src, &mut fcal);
         for cfg in [GossipConfig::flood(), GossipConfig::inv_getdata(0.0)] {
-            assert_gossip_agrees(&view, src, &cfg, &mut gheap, &mut gcal);
+            assert_gossip_agrees(&topo, &lat, &pop, &view, src, &cfg, &mut gcal);
         }
     }
 }
 
 #[test]
-fn scratch_reuse_across_blocks_keeps_kinds_identical() {
+fn scratch_reuse_across_blocks_matches_the_heap_oracle() {
     // The epoch-stamped delivery matrix and the calendar's O(1) clear
     // must leave no residue between blocks: simulate a long block
-    // sequence through both kinds on ONE scratch each and compare every
-    // block (a fresh-scratch run would hide stale-state bugs).
+    // sequence on ONE scratch and compare every block against the heap
+    // oracle (a fresh-scratch run would hide stale-state bugs).
     let (pop, lat, topo, mut rng) = random_world(80, 99);
     let view = TopologyView::new(&topo, &lat, &pop);
-    let mut heap = GossipScratch::with_queue(QueueKind::BinaryHeap);
-    let mut cal = GossipScratch::with_queue(QueueKind::Calendar);
+    let mut cal = GossipScratch::new();
     let cfg = GossipConfig::inv_getdata(0.0);
     for _ in 0..25 {
         let src = NodeId::new(rng.gen_range(0..80));
-        assert_gossip_agrees(&view, src, &cfg, &mut heap, &mut cal);
+        assert_gossip_agrees(&topo, &lat, &pop, &view, src, &cfg, &mut cal);
     }
     // And a fresh calendar scratch agrees with the reused one — reuse is
     // residue-free in both directions.
     let src = NodeId::new(17);
     view.gossip_into(src, &cfg, &mut cal);
-    let mut fresh = GossipScratch::with_queue(QueueKind::Calendar);
+    let mut fresh = GossipScratch::new();
     view.gossip_into(src, &cfg, &mut fresh);
     assert_eq!(cal.arrivals(), fresh.arrivals());
     for e in 0..view.directed_edge_count() {
         assert_eq!(cal.delivery(e), fresh.delivery(e));
     }
-}
-
-#[test]
-fn default_scratches_run_the_calendar_queue() {
-    // The perf path is the default; the heap stays opt-in as reference.
-    assert_eq!(BroadcastScratch::new().queue_kind(), QueueKind::Calendar);
-    assert_eq!(GossipScratch::new().queue_kind(), QueueKind::Calendar);
-    assert_eq!(
-        BroadcastScratch::with_capacity(64).queue_kind(),
-        QueueKind::Calendar
-    );
-    assert_eq!(
-        GossipScratch::with_capacity(64, 512).queue_kind(),
-        QueueKind::Calendar
-    );
 }

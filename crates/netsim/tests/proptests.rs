@@ -1,10 +1,13 @@
 //! Property-based tests of the simulator substrate.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use perigee_netsim::pq::{CalendarQueue, PackedQueue, QueueKind, TimeKey, BUCKET_WIDTH_MS};
+use perigee_netsim::pq::{CalendarQueue, TimeKey, BUCKET_WIDTH_MS};
 use perigee_netsim::{
     broadcast, gossip_block, BroadcastScratch, ConnectionLimits, EventQueue, FaultPlan,
     GeoLatencyModel, GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
@@ -466,25 +469,24 @@ proptest! {
 
     /// Under monotone interleaving (every push ≥ the last pop — the
     /// Dijkstra/gossip discipline), the calendar agrees with a
-    /// `BinaryHeap` oracle pop for pop, through the same [`PackedQueue`]
-    /// front end the scratch engines use.
+    /// `BinaryHeap<Reverse<K>>` oracle pop for pop.
     #[test]
-    fn packed_queue_kinds_agree_under_monotone_interleaving(
+    fn calendar_agrees_with_binary_heap_under_monotone_interleaving(
         seeds in proptest::collection::vec((0u8..8, 0.0f64..1.0, 0u32..70_000), 1..60),
         fanout in 1usize..4,
     ) {
-        let mut cal = PackedQueue::with_kind(QueueKind::Calendar);
-        let mut heap = PackedQueue::with_kind(QueueKind::BinaryHeap);
+        let mut cal = CalendarQueue::new();
+        let mut heap = BinaryHeap::new();
         let mut seq = 0u32;
         for &(class, x, k) in &seeds {
             let key = (edge_case_time(class, x, k).to_bits(), seq);
             seq += 1;
             cal.push(key);
-            heap.push(key);
+            heap.push(Reverse(key));
         }
         let mut deltas = seeds.iter().cycle();
         while let Some(k) = cal.pop() {
-            prop_assert_eq!(heap.pop(), Some(k));
+            prop_assert_eq!(heap.pop(), Some(Reverse(k)));
             // Schedule follow-ups relative to the popped time, like a
             // relaxation step: delays are non-negative, so the monotone
             // contract holds by construction.
@@ -495,7 +497,7 @@ proptest! {
                     let key = ((t + edge_case_time(class, x, kk)).to_bits(), seq);
                     seq += 1;
                     cal.push(key);
-                    heap.push(key);
+                    heap.push(Reverse(key));
                 }
             }
         }

@@ -29,7 +29,7 @@
 //! read the clock, counters only sum events that already happened, and
 //! sinks only write out. An engine run with telemetry enabled is
 //! bit-identical to the same run with it disabled — across thread counts
-//! and queue kinds — and the determinism suite pins that contract. With
+//! — and the determinism suite pins that contract. With
 //! the handle absent the engine makes no clock reads and builds no
 //! records, so the disabled path costs nothing; enabled overhead is
 //! bounded by `BENCH_telemetry.json` (≤2% per round).

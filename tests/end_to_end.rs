@@ -4,7 +4,7 @@
 use perigee::core::{PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod};
 use perigee::experiments::{fig3, fig5, Algorithm, Scenario};
 use perigee::netsim::{
-    broadcast, gossip_block, ConnectionLimits, GossipConfig, LatencyModel, NodeId, QueueKind,
+    broadcast, gossip_block, ConnectionLimits, GossipConfig, LatencyModel, NodeId,
 };
 use perigee::topology::{RandomBuilder, TopologyBuilder};
 use rand::SeedableRng;
@@ -187,8 +187,8 @@ fn end_to_end_determinism() {
 /// A message-level (INV/GETDATA) engine round end to end — closing the
 /// seed-era gap where this suite only ever exercised analytic rounds:
 /// per-round λ50/λ90 must be coherent, per-node coverage times must be
-/// monotone in the coverage fraction, and the round must be bit-identical
-/// on the calendar queue and the `BinaryHeap` reference.
+/// monotone in the coverage fraction, and the parallel round must be
+/// bit-identical to the sequential one.
 #[test]
 fn gossip_mode_round_has_monotone_coverage() {
     let world = perigee::experiments::build_world(&ci_scenario(), 21);
@@ -201,7 +201,7 @@ fn gossip_mode_round_has_monotone_coverage() {
     );
     let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
     cfg.blocks_per_round = 20;
-    let build = |kind: QueueKind| {
+    let build = |parallel: bool| {
         let mut engine = PerigeeEngine::new(
             world.population.clone(),
             world.latency.clone(),
@@ -211,11 +211,11 @@ fn gossip_mode_round_has_monotone_coverage() {
         )
         .expect("valid engine");
         engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
-        engine.set_queue_kind(kind);
+        engine.set_parallel(parallel);
         engine
     };
-    let mut engine = build(QueueKind::Calendar);
-    let mut reference = build(QueueKind::BinaryHeap);
+    let mut engine = build(true);
+    let mut reference = build(false);
 
     let mut rng_ref = rand::rngs::StdRng::seed_from_u64(77);
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
@@ -223,7 +223,7 @@ fn gossip_mode_round_has_monotone_coverage() {
     assert_eq!(
         stats,
         reference.run_round(&mut rng_ref),
-        "calendar-queue round diverged from the heap reference"
+        "parallel round diverged from the sequential one"
     );
     assert_eq!(engine.topology(), reference.topology());
     assert!(stats.mean_lambda90_ms.is_finite() && stats.mean_lambda90_ms > 0.0);
