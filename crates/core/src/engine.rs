@@ -638,8 +638,8 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Asserts the carried snapshot is field-for-field equal to a fresh
     /// build over the current world (a no-op when no snapshot is cached).
     /// The debug builds assert this after every round; this method lets
-    /// release-mode smoke runs (CI's churn smoke) make the same check
-    /// explicitly.
+    /// release-mode runs make the same check explicitly (the churn,
+    /// fault and compaction tests call it at the end of their runs).
     ///
     /// # Panics
     ///
@@ -728,7 +728,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// [`PerigeeEngine::audits_run`] and keeping every non-clean
     /// [`AuditReport`] ([`PerigeeEngine::audit_failures`]). The pass is
     /// O(nodes + edges) — ≲2% of a churny faulted round even at
-    /// audit-every-round (see `BENCH_audit.json`).
+    /// audit-every-round (last measured at 2.0% on a 1k-node world).
     pub fn set_audit_every(&mut self, every: usize) {
         self.audit_every = every;
     }

@@ -75,14 +75,14 @@ impl SubsetScoring {
     /// The greedy selection itself: pure in its inputs, shared by the
     /// sequential and parallel retain paths.
     ///
-    /// On the sketch backend the greedy complementary criterion is
+    /// On the sketch backend the greedy complementary objective is
     /// unavailable — it needs the per-block joint minimum across the
     /// group, and the sketch keeps only marginal per-edge percentile
     /// state — so selection **degrades to marginal ranking**: keep the
     /// `retain_count` neighbors with the best individual sketch
     /// percentiles (Vanilla's ordering, same deterministic id
     /// tie-break). This is the documented approximation of sketch mode;
-    /// runs that need the joint criterion keep the dense backend.
+    /// runs that need the joint objective keep the dense backend.
     fn select(&self, outgoing: &[NodeId], observations: NodeObservations<'_>) -> Vec<NodeId> {
         if observations.is_sketch() {
             let mut buf = Vec::new();

@@ -5,7 +5,8 @@
 //! exactly.
 
 use perigee_core::{
-    ObservationCollector, PerigeeConfig, PerigeeEngine, PropagationMode, ScoringMethod,
+    ObservationBackend, ObservationCollector, PerigeeConfig, PerigeeEngine, PropagationMode,
+    ScoringMethod,
 };
 use perigee_netsim::{
     broadcast, gossip_block, ConnectionLimits, GeoLatencyModel, GossipConfig, MinerSampler, NodeId,
@@ -25,12 +26,23 @@ fn engine_with(
     seed: u64,
     method: ScoringMethod,
 ) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
+    engine_on(n, blocks, seed, method, ObservationBackend::Dense)
+}
+
+fn engine_on(
+    n: usize,
+    blocks: usize,
+    seed: u64,
+    method: ScoringMethod,
+    backend: ObservationBackend,
+) -> (PerigeeEngine<GeoLatencyModel>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let pop = PopulationBuilder::new(n).build(&mut rng).unwrap();
     let lat = GeoLatencyModel::new(&pop, seed);
     let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
     let mut cfg = PerigeeConfig::paper_default(method);
     cfg.blocks_per_round = blocks;
+    cfg.observation_backend = backend;
     let engine = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
     (engine, rng)
 }
@@ -302,6 +314,9 @@ fn churny_rounds_are_thread_count_independent() {
 /// are pure hashes of `(seed, round, global block, edge)` and the
 /// degradation machinery consumes RNG in a fixed sequential order, so
 /// nothing about the schedule can depend on the execution interleaving.
+/// The same world also pins the other end of the fault layer: an *inert*
+/// plan leaves an 8-round trajectory (stats, topology, population)
+/// bit-identical to installing no plan at all.
 #[test]
 fn fault_injected_rounds_are_thread_count_independent() {
     use perigee_core::RoundStats;
@@ -340,7 +355,7 @@ fn fault_injected_rounds_are_thread_count_independent() {
         regional: Vec::new(),
     };
 
-    let run = |threads: Option<usize>| {
+    let run = |plan: Option<FaultPlan>, rounds: usize, threads: Option<usize>| {
         // Hand-built engine: liveness on, so suspect→evict and backoff
         // state also prove themselves execution-order independent.
         let mut rng = StdRng::seed_from_u64(67);
@@ -353,19 +368,21 @@ fn fault_injected_rounds_are_thread_count_independent() {
         cfg.liveness = perigee_core::LivenessConfig::aggressive();
         let mut e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
         e.set_churn(ChurnProcess::steady_state(80, 0.03, 107));
-        e.set_fault_plan(plan.clone()).unwrap();
+        if let Some(plan) = plan {
+            e.set_fault_plan(plan).unwrap();
+        }
         let stats = {
-            let rounds =
+            let go =
                 |e: &mut PerigeeEngine<GeoLatencyModel>, rng: &mut StdRng| -> Vec<RoundStats> {
-                    (0..50).map(|_| e.run_round(rng)).collect()
+                    (0..rounds).map(|_| e.run_round(rng)).collect()
                 };
             match threads {
-                None => rounds(&mut e, &mut rng),
+                None => go(&mut e, &mut rng),
                 Some(t) => rayon::ThreadPoolBuilder::new()
                     .num_threads(t)
                     .build()
                     .unwrap()
-                    .install(|| rounds(&mut e, &mut rng)),
+                    .install(|| go(&mut e, &mut rng)),
             }
         };
         assert_eq!(e.view_rebuilds(), 1, "faulted rounds must still patch");
@@ -373,7 +390,7 @@ fn fault_injected_rounds_are_thread_count_independent() {
         (stats, e.topology().clone(), e.population().clone())
     };
 
-    let (ref_stats, ref_topo, ref_pop) = run(None);
+    let (ref_stats, ref_topo, ref_pop) = run(Some(plan.clone()), 50, None);
     assert!(
         ref_stats.iter().any(|s| s.gated > 0),
         "the burst window must trip stability gating for this test to bite"
@@ -383,7 +400,7 @@ fn fault_injected_rounds_are_thread_count_independent() {
         "churn must fire under faults too"
     );
     for threads in [Some(1), Some(2), Some(8)] {
-        let (stats, topo, pop) = run(threads);
+        let (stats, topo, pop) = run(Some(plan.clone()), 50, threads);
         assert_eq!(
             stats, ref_stats,
             "faulted RoundStats diverged at {threads:?} threads"
@@ -391,6 +408,12 @@ fn fault_injected_rounds_are_thread_count_independent() {
         assert_eq!(topo, ref_topo, "topology diverged at {threads:?}");
         assert_eq!(pop, ref_pop, "population diverged at {threads:?}");
     }
+
+    assert_eq!(
+        run(Some(FaultPlan::inert(99)), 8, None),
+        run(None, 8, None),
+        "an inert fault plan perturbed the trajectory"
+    );
 }
 
 /// Fault-injected *gossip* rounds (message-level INV/GETDATA) are
@@ -455,7 +478,9 @@ fn ucb_parallel_rounds_are_bit_identical_to_sequential() {
 /// trajectories with `set_shards` are bit-identical to the flat flood —
 /// across shard counts and thread counts (1, 2 and 8 pinned pools), with
 /// an active fault plan in force so the faulted sharded path is
-/// exercised too.
+/// exercised too — on both observation backends. A final probe round
+/// pins the observation store itself (dense matrix or per-edge
+/// sketches) and its λ-curves, not just what scoring made of them.
 #[test]
 fn sharded_rounds_are_bit_identical_to_flat_rounds() {
     use perigee_core::RoundStats;
@@ -470,8 +495,9 @@ fn sharded_rounds_are_bit_identical_to_flat_rounds() {
         },
         ..FaultPlan::inert(0x54A2)
     };
-    let run = |shards: usize, threads: Option<usize>| {
-        let (mut e, mut rng) = engine(100, 10, 77);
+    let probe: Vec<NodeId> = (0..10).map(|i| NodeId::new(i * 9)).collect();
+    let run = |backend: ObservationBackend, shards: usize, threads: Option<usize>| {
+        let (mut e, mut rng) = engine_on(100, 10, 77, ScoringMethod::Subset, backend);
         e.set_shards(shards);
         e.set_fault_plan(plan.clone()).unwrap();
         let rounds = |e: &mut PerigeeEngine<GeoLatencyModel>,
@@ -485,46 +511,55 @@ fn sharded_rounds_are_bit_identical_to_flat_rounds() {
                 .unwrap()
                 .install(|| rounds(&mut e, &mut rng)),
         };
-        (stats, e.topology().clone())
+        (stats, e.topology().clone(), e.observe_round(&probe))
     };
 
-    let (ref_stats, ref_topo) = run(1, None);
-    for (shards, threads) in [
-        (4, Some(1)),
-        (4, Some(2)),
-        (4, Some(8)),
-        (7, Some(1)),
-        (7, Some(8)),
-        (256, Some(2)), // more shards than fits: clamps
-    ] {
-        let (stats, topo) = run(shards, threads);
-        assert_eq!(
-            stats, ref_stats,
-            "sharded run diverged at {shards} shards, {threads:?} threads"
-        );
-        assert_eq!(topo, ref_topo, "topology diverged at {shards} shards");
+    for backend in [ObservationBackend::Dense, ObservationBackend::Sketch] {
+        let (ref_stats, ref_topo, ref_probe) = run(backend, 1, None);
+        for (shards, threads) in [
+            (4, Some(1)),
+            (4, Some(2)),
+            (4, Some(8)),
+            (7, Some(1)),
+            (7, Some(8)),
+            (256, Some(2)), // more shards than fits: clamps
+        ] {
+            let (stats, topo, probe) = run(backend, shards, threads);
+            assert_eq!(
+                stats, ref_stats,
+                "{backend:?} run diverged at {shards} shards, {threads:?} threads"
+            );
+            assert_eq!(
+                topo, ref_topo,
+                "{backend:?} topology diverged at {shards} shards"
+            );
+            assert_eq!(
+                probe.observations(),
+                ref_probe.observations(),
+                "{backend:?} store diverged at {shards} shards"
+            );
+            assert_eq!(probe.lambda90_ms(), ref_probe.lambda90_ms());
+            assert_eq!(probe.lambda50_ms(), ref_probe.lambda50_ms());
+        }
     }
 }
 
 /// Sketch-backed rounds keep the determinism guarantee: with the
 /// observation store folded into per-edge P² sketches, whole learning
-/// trajectories are bit-identical across thread counts (the sketch fold consumes blocks in block order regardless of how
-/// chunks were scheduled).
+/// trajectories are bit-identical across thread counts (the sketch fold
+/// consumes blocks in block order regardless of how chunks were
+/// scheduled). And the sketch store is what it claims to be: at 100
+/// blocks it is at least 4× smaller than the dense matrix (48 B against
+/// 4 B per block per edge, whatever the world size), while the
+/// λ-curves, computed from the floods rather than the store, are
+/// bit-equal to the dense round's.
 #[test]
 fn sketch_backend_rounds_are_thread_count_independent() {
-    use perigee_core::{ObservationBackend, RoundStats};
+    use perigee_core::RoundStats;
 
     for method in [ScoringMethod::Vanilla, ScoringMethod::Subset] {
         let run = |threads: Option<usize>| {
-            let mut rng = StdRng::seed_from_u64(83);
-            let pop = PopulationBuilder::new(90).build(&mut rng).unwrap();
-            let lat = GeoLatencyModel::new(&pop, 83);
-            let topo =
-                RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
-            let mut cfg = PerigeeConfig::paper_default(method);
-            cfg.blocks_per_round = 12;
-            cfg.observation_backend = ObservationBackend::Sketch;
-            let mut e = PerigeeEngine::new(pop, lat, topo, method, cfg).unwrap();
+            let (mut e, mut rng) = engine_on(90, 12, 83, method, ObservationBackend::Sketch);
             let rounds =
                 |e: &mut PerigeeEngine<GeoLatencyModel>, rng: &mut StdRng| -> Vec<RoundStats> {
                     (0..5).map(|_| e.run_round(rng)).collect()
@@ -549,6 +584,32 @@ fn sketch_backend_rounds_are_thread_count_independent() {
             assert_eq!(topo, ref_topo);
         }
     }
+
+    let (dense, mut rng) = engine_on(
+        90,
+        100,
+        83,
+        ScoringMethod::Subset,
+        ObservationBackend::Dense,
+    );
+    let (sketch, _) = engine_on(
+        90,
+        100,
+        83,
+        ScoringMethod::Subset,
+        ObservationBackend::Sketch,
+    );
+    let miners = MinerSampler::new(dense.population()).sample_round(100, &mut rng);
+    let dense = dense.observe_round(&miners);
+    let sketch = sketch.observe_round(&miners);
+    let dense_bytes = dense.observations().matrix_bytes();
+    let sketch_bytes = sketch.observations().matrix_bytes();
+    assert!(
+        sketch_bytes * 4 <= dense_bytes,
+        "sketch store {sketch_bytes} B must be >= 4x smaller than dense {dense_bytes} B"
+    );
+    assert_eq!(sketch.lambda90_ms(), dense.lambda90_ms());
+    assert_eq!(sketch.lambda50_ms(), dense.lambda50_ms());
 }
 
 /// The same UCB run is also independent of the rayon pool width.

@@ -199,6 +199,11 @@ fn traffic_stats_are_backend_independent_and_cover_every_class() {
         total += stats.messages;
     }
     assert_eq!(total, d.messages);
+    assert_eq!(
+        d.messages,
+        config.messages_for_round(0, dense.population()).len(),
+        "the round must carry its whole stream"
+    );
 }
 
 /// Traffic composes with the message-level block path: a gossip-mode

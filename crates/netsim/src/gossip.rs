@@ -39,10 +39,10 @@
 //! bit-identical to the scratch engine *by construction*, and both are
 //! bit-identical to the legacy event-queue engine: side-effectful events
 //! are scheduled in the same order and pop in the same order, with time
-//! ties broken by insertion sequence exactly as
-//! [`EventQueue`](crate::EventQueue) did (cross-validated against a
-//! faithful replica of the legacy engine in `tests/gossip_legacy.rs` and
-//! the propagation bench).
+//! ties broken by insertion sequence exactly as the seed engine's
+//! `EventQueue` did (cross-validated against that engine, kept verbatim
+//! as the test oracle in `tests/support/reference.rs`, by
+//! `tests/gossip_legacy.rs` and `tests/pq_equivalence.rs`).
 
 use std::collections::BTreeMap;
 
@@ -275,11 +275,11 @@ enum EventKind {
 ///
 /// Integer order on the whole word is therefore exactly "by time, ties by
 /// insertion sequence" (the sequence is unique, so the low bits never
-/// decide), which is the legacy [`EventQueue`](crate::EventQueue) pop
-/// order. The 30-bit payload caps supported snapshots at
-/// [`PACKED_PAYLOAD_CAP`] nodes/directed edges — an 8 GB+ view, far
-/// beyond simulation scale. The cap is *guaranteed* before any event is
-/// packed: view and scratch construction return
+/// decide), which is the legacy `EventQueue` pop order. The 30-bit
+/// payload caps supported snapshots at [`PACKED_PAYLOAD_CAP`]
+/// nodes/directed edges — an 8 GB+ view, far beyond simulation scale.
+/// The cap is *guaranteed* before any event is packed: view and scratch
+/// construction return
 /// [`NetsimError::WorldTooLarge`](crate::NetsimError) for oversized
 /// worlds and every simulation entry point re-asserts it in release
 /// builds, so the per-event check here stays a debug assertion.

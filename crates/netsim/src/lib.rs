@@ -133,7 +133,6 @@ pub mod counters;
 pub mod dataset;
 pub mod dynamics;
 pub mod error;
-pub mod event;
 pub mod faults;
 pub mod gossip;
 pub mod graph;
@@ -142,7 +141,6 @@ pub mod mining;
 pub mod node;
 pub mod population;
 pub mod pq;
-pub mod reference;
 pub mod time;
 pub mod traffic;
 pub mod view;
@@ -154,7 +152,6 @@ pub use dynamics::{
     ChurnPlan, ChurnProcess, LifetimeEvent, LifetimeEventKind, SessionDist, WorldDelta,
 };
 pub use error::{ConnectError, NetsimError};
-pub use event::EventQueue;
 pub use faults::{
     BlockFaults, FaultPlan, FaultWindow, LegOutcome, LinkFaultRates, LinkFlaps, PartitionWindow,
     RegionalWindow, RoundFaults,

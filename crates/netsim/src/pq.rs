@@ -45,8 +45,8 @@
 //! [`CalendarQueue`] is the only production queue: both scratch engines
 //! hold one directly. The binary heap survives as the test oracle the
 //! unit tests below, `tests/proptests.rs` and `tests/pq_equivalence.rs`
-//! (via the heap-based seed engine in [`crate::reference`]) compare
-//! against.
+//! (via the heap-based seed engine in `tests/support/reference.rs`)
+//! compare against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,6 +1,6 @@
 //! Cross-validation of the pooled gossip engine against the reference
 //! implementation of the legacy `gossip_block`
-//! ([`perigee_netsim::reference`]): the original [`EventQueue`]-based
+//! ([`support::reference`]): the original [`EventQueue`]-based
 //! engine with boxed events and per-node `BTreeMap` delivery logs. The
 //! pooled engine claims bit-identical behaviour by construction (same
 //! schedule order, same time-tie insertion-sequence break, same `δ(u,v)`
@@ -8,17 +8,19 @@
 //! event for event across both modes, bandwidth models and adversarial
 //! behaviours.
 //!
-//! [`EventQueue`]: perigee_netsim::EventQueue
+//! [`EventQueue`]: support::event::EventQueue
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use perigee_netsim::reference::gossip_block as legacy_gossip_block;
 use perigee_netsim::{
     gossip_block, Behavior, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipMode,
     GossipScratch, NodeId, Population, PopulationBuilder, SimTime, Topology, TopologyView,
     TransferModel,
 };
+use support::reference::gossip_block as legacy_gossip_block;
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -1,6 +1,6 @@
 //! Golden cross-engine tests for the calendar queue: the calendar-queue
 //! flood and gossip engines must be **event-for-event identical** to the
-//! heap-driven seed engine [`perigee_netsim::reference::gossip_block`]
+//! heap-driven seed engine [`support::reference::gossip_block`]
 //! (a `BinaryHeap`-backed [`EventQueue`]) — same arrivals, same
 //! per-neighbor delivery logs — across seeds, network sizes, gossip
 //! modes, bandwidth models and adversarial behaviours. The analytic flood
@@ -14,17 +14,19 @@
 //! simulated on per-worker scratches; this file pins down the per-block
 //! engines the workers run).
 //!
-//! [`EventQueue`]: perigee_netsim::EventQueue
+//! [`EventQueue`]: support::event::EventQueue
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use perigee_netsim::reference::gossip_block as heap_gossip_block;
 use perigee_netsim::{
     Behavior, BroadcastScratch, ConnectionLimits, GeoLatencyModel, GossipConfig, GossipMode,
     GossipScratch, NodeId, Population, PopulationBuilder, SimTime, Topology, TopologyView,
     TransferModel,
 };
+use support::reference::gossip_block as heap_gossip_block;
 
 fn random_world(n: usize, seed: u64) -> (Population, GeoLatencyModel, Topology, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -1,5 +1,7 @@
 //! Property-based tests of the simulator substrate.
 
+mod support;
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -9,11 +11,12 @@ use rand::{Rng, SeedableRng};
 
 use perigee_netsim::pq::{CalendarQueue, TimeKey, BUCKET_WIDTH_MS};
 use perigee_netsim::{
-    broadcast, gossip_block, BroadcastScratch, ConnectionLimits, EventQueue, FaultPlan,
-    GeoLatencyModel, GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
+    broadcast, gossip_block, BroadcastScratch, ConnectionLimits, FaultPlan, GeoLatencyModel,
+    GossipConfig, GossipScratch, LatencyModel, LinkFaultRates, LinkFlaps, NodeId,
     PopulationBuilder, Region, RegionalWindow, RoundDelta, SimTime, Topology, TopologyView,
     WorldDelta,
 };
+use support::event::EventQueue;
 
 /// Maps a `(class, unit float, integer)` triple onto the f64 edge cases
 /// the calendar queue must order exactly: zero, subnormals, exact bucket

@@ -1,36 +1,21 @@
-//! A generic discrete-event queue.
+//! A generic discrete-event queue: the seed engine's event queue, kept
+//! as the *reference* semantics for event ordering.
 //!
 //! Events fire in time order; ties break by insertion sequence so
-//! simulations are fully deterministic.
-//!
-//! This is the general-purpose, boxed-payload queue — the *reference*
-//! semantics for event ordering. The gossip hot path no longer uses it:
-//! [`GossipScratch`](crate::GossipScratch) inlines the same
-//! `(time, insertion-sequence)` ordering over a reusable index-based event
-//! pool, which avoids one slot allocation per event while reproducing this
-//! queue's pop order bit for bit. Keep the two in agreement: the legacy
-//! cross-validation suite (`tests/gossip_legacy.rs`) re-implements the old
-//! engine on top of this queue and asserts equality.
+//! simulations are fully deterministic. The crate's hot paths do not
+//! use this boxed-payload queue: `GossipScratch` packs the same
+//! `(time, insertion-sequence)` ordering into `u128` event words on a
+//! calendar queue, which avoids one slot allocation per event while
+//! reproducing this queue's pop order bit for bit. Keep the two in
+//! agreement: [`super::reference`] re-implements the seed engine on top
+//! of this queue, and the cross-validation suites assert equality.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use perigee_netsim::SimTime;
 
 /// A deterministic discrete-event priority queue.
-///
-/// # Examples
-///
-/// ```
-/// use perigee_netsim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_ms(5.0), "later");
-/// q.schedule(SimTime::from_ms(1.0), "sooner");
-/// let (t, e) = q.pop().unwrap();
-/// assert_eq!(e, "sooner");
-/// assert_eq!(t, SimTime::from_ms(1.0));
-/// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,

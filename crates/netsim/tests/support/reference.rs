@@ -4,24 +4,19 @@
 //! with one slot allocation per boxed event, `Vec<bool>` flags, one
 //! `BTreeMap` delivery log per node and a latency-model call per event
 //! leg. It is *not* a hot path — the optimized engine lives in
-//! [`TopologyView::gossip_into`](crate::TopologyView::gossip_into) — but
-//! it is load-bearing: it defines the behaviour the optimized engine must
-//! reproduce **bit for bit**. The cross-validation suite
-//! (`tests/gossip_legacy.rs`) asserts that equality event for event, and
-//! the propagation bench measures the optimized engine's speedup against
-//! this exact implementation. Keeping the one copy here ensures the
-//! oracle the tests check and the baseline the bench times can never
-//! drift apart.
+//! `TopologyView::gossip_into` — but it is load-bearing: it defines the
+//! behaviour the optimized engines must reproduce **bit for bit**. The
+//! cross-validation suites (`gossip_legacy.rs`, `pq_equivalence.rs`)
+//! assert that equality event for event, so this one copy is the single
+//! definition of "what the seed engine did".
 
 use std::collections::BTreeMap;
 
-use crate::event::EventQueue;
-use crate::gossip::{GossipConfig, GossipMode};
-use crate::graph::Topology;
-use crate::latency::LatencyModel;
-use crate::node::{Behavior, NodeId};
-use crate::population::Population;
-use crate::time::SimTime;
+use perigee_netsim::{
+    Behavior, GossipConfig, GossipMode, LatencyModel, NodeId, Population, SimTime, Topology,
+};
+
+use super::event::EventQueue;
 
 #[derive(Debug)]
 enum Event {

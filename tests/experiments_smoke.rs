@@ -1,7 +1,7 @@
-//! Tier-1 smoke coverage for the experiment runners that previously ran
-//! only inside `examples/` and the criterion benches: `fig4` (validation
-//! sweep and both special worlds), `convergence`, plus tiny-size `fig3` /
-//! `fig5` passes. Each runs at toy scale — the point is that the runner
+//! Tier-1 smoke coverage for the paper-figure experiment runners that
+//! `repro` drives (`fig3a`/`fig3b`, `fig4a`–`fig4c`, `fig5`,
+//! `convergence`): `fig4` (validation sweep and both special worlds),
+//! `convergence`, plus tiny-size `fig3` / `fig5` passes. Each runs at toy scale — the point is that the runner
 //! wiring (world construction, parallel seed fan-out, aggregation,
 //! tables) cannot regress without failing `cargo test -q`.
 
