@@ -12,9 +12,9 @@ use rayon::prelude::*;
 
 use perigee_metrics::P2Quantile;
 use perigee_netsim::{
-    BatchMessage, BroadcastScratch, ChurnProcess, FaultPlan, GossipConfig, GossipScratch,
-    LatencyModel, MinerSampler, NetsimError, NodeId, Population, Region, RoundDelta, RoundFaults,
-    ShardWorkspace, SimCounters, SimTime, Topology, TopologyView, TrafficConfig, TrafficMessage,
+    BatchMessage, BlockFaults, BroadcastScratch, ChurnProcess, FaultPlan, GossipConfig,
+    GossipScratch, LatencyModel, MinerSampler, NetsimError, NodeId, Population, Region, RoundDelta,
+    RoundFaults, ShardWorkspace, SimCounters, SimTime, Topology, TopologyView, TrafficConfig,
     WorldDelta,
 };
 use perigee_telemetry::{PhaseTimer, RunTelemetry};
@@ -72,12 +72,95 @@ impl<S, X> Lane<S, X> {
     }
 }
 
-/// A block lane's reusable simulation scratch, per propagation mode.
+/// A worker's reusable block-simulation scratch, per propagation mode:
+/// the round's block lanes and the evaluation fan-out both run on it.
 enum BlockSim {
     /// Analytic flood, with a shard workspace when sharding is on.
     Flood(BroadcastScratch, Option<ShardWorkspace>),
     /// Message-level gossip under the given configuration.
     Gossip(GossipScratch, GossipConfig),
+}
+
+impl BlockSim {
+    /// A scratch sized for `view`; a flood owns a shard workspace
+    /// (reused across its blocks) when `shards > 1`.
+    fn new(mode: PropagationMode, view: &TopologyView, shards: usize) -> Self {
+        match mode {
+            PropagationMode::Analytic => BlockSim::Flood(
+                BroadcastScratch::with_capacity(view.len()),
+                (shards > 1).then(|| ShardWorkspace::new(shards)),
+            ),
+            PropagationMode::Gossip(cfg) => BlockSim::Gossip(
+                GossipScratch::with_capacity(view.len(), view.directed_edge_count()),
+                cfg,
+            ),
+        }
+    }
+
+    /// Simulates one block mined by `source` (`faults: None` takes the
+    /// exact fault-free path).
+    fn run(&mut self, view: &TopologyView, source: NodeId, faults: Option<&BlockFaults<'_>>) {
+        match self {
+            BlockSim::Flood(scratch, Some(ws)) => {
+                view.broadcast_sharded_into_faulted(source, scratch, faults, ws)
+            }
+            BlockSim::Flood(scratch, None) => view.broadcast_into_faulted(source, scratch, faults),
+            BlockSim::Gossip(scratch, cfg) => {
+                view.gossip_into_faulted(source, cfg, scratch, faults)
+            }
+        }
+    }
+
+    /// The last block's coverage times for `fractions` of the hash power.
+    fn coverage_times_into(&mut self, view: &TopologyView, fractions: &[f64], out: &mut [SimTime]) {
+        match self {
+            BlockSim::Flood(scratch, _) => scratch.coverage_times_into(view, fractions, out),
+            BlockSim::Gossip(scratch, _) => scratch.coverage_times_into(view, fractions, out),
+        }
+    }
+
+    /// Appends the last block's observation row to `rows`.
+    fn record(
+        &self,
+        view: &TopologyView,
+        rows: &mut ObservationCollector,
+        faults: Option<&BlockFaults<'_>>,
+    ) {
+        match self {
+            BlockSim::Flood(scratch, _) => match faults {
+                Some(b) => rows.record_scratch_faulted(view, scratch, b),
+                None => rows.record_scratch(view, scratch),
+            },
+            // The gossip scratch's delivery matrix already holds the
+            // faulted announcement times, so the fault-free collector
+            // reads it unchanged.
+            BlockSim::Gossip(scratch, _) => rows.record_gossip_scratch(view, scratch),
+        }
+    }
+
+    /// The last block's first-arrival time at every node.
+    fn arrivals(&self) -> &[SimTime] {
+        match self {
+            BlockSim::Flood(scratch, _) => scratch.arrivals(),
+            BlockSim::Gossip(scratch, _) => scratch.arrivals(),
+        }
+    }
+
+    /// Takes the scratch's hot-path tallies.
+    fn take_counters(&mut self) -> SimCounters {
+        match self {
+            BlockSim::Flood(scratch, _) => scratch.take_counters(),
+            BlockSim::Gossip(scratch, _) => scratch.take_counters(),
+        }
+    }
+}
+
+/// How many workers (and lanes) a fan-out of `items` independent items
+/// uses: one per rayon thread, never more than there are items, and at
+/// least one. The one chunking rule of every fan-out in a round and in
+/// evaluation; a pinned 1-thread pool runs them all sequentially.
+fn workers(items: usize) -> usize {
+    rayon::current_num_threads().clamp(1, items.max(1))
 }
 
 /// The one fan-out of a round's independent rows (blocks or messages).
@@ -271,7 +354,6 @@ pub struct PerigeeEngine<L> {
     adopters: Vec<bool>,
     mode: PropagationMode,
     address_book: Option<AddressBook>,
-    parallel: bool,
     /// How many contiguous node-range shards each analytic flood splits
     /// into (`1` = the flat single-queue flood). Results are bit-identical
     /// for every value (see [`ShardWorkspace`]), so this is a pure
@@ -344,7 +426,7 @@ pub struct PerigeeEngine<L> {
 ///
 /// Produced by [`PerigeeEngine::observe_round`]; block order is the miner
 /// order passed in, whatever the parallel execution interleaving, so the
-/// contents are bit-identical between parallel and sequential runs.
+/// contents are bit-identical across thread counts.
 #[derive(Debug, Clone)]
 pub struct RoundObservations {
     observations: RoundStore,
@@ -387,16 +469,18 @@ impl RoundObservations {
         self.counters
     }
 
-    /// Decomposes into `(observations, lambda90_ms, lambda50_ms, seen)`.
-    /// Read [`RoundObservations::counters`] first if you need the
-    /// hot-path tallies.
-    pub fn into_parts(self) -> (RoundStore, Vec<f64>, Vec<f64>, Vec<u32>) {
-        (
-            self.observations,
-            self.lambda90_ms,
-            self.lambda50_ms,
-            self.seen,
-        )
+    /// `(mean λ90, mean λ50, p90 of λ90)` of a round of `k` blocks, in
+    /// ms. The means left-fold in block order, like a sequential loop;
+    /// the p90 is a constant-space [`P2Quantile`] estimate (the per-round
+    /// λ-curve the dynamic-world experiments plot).
+    fn lambda_summary(&self, k: usize) -> (f64, f64, f64) {
+        let mut p90 = P2Quantile::new(90.0);
+        for &l in &self.lambda90_ms {
+            p90.observe(l);
+        }
+        let sum90: f64 = self.lambda90_ms.iter().sum();
+        let sum50: f64 = self.lambda50_ms.iter().sum();
+        (sum90 / k as f64, sum50 / k as f64, p90.estimate_or_inf())
     }
 }
 
@@ -451,7 +535,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             adopters,
             mode: PropagationMode::Analytic,
             address_book: None,
-            parallel: true,
             shards: 1,
             round: 0,
             view: None,
@@ -590,9 +673,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         self.last_traffic.as_ref()
     }
 
-    /// The peer-liveness state, if [`LivenessConfig::enabled`]
-    /// ([`crate::LivenessConfig`]) — observability for experiments
-    /// (e.g. counting active reconnect backoffs).
+    /// The peer-liveness state, if
+    /// [`LivenessConfig::enabled`](crate::LivenessConfig::enabled) —
+    /// observability for experiments (e.g. counting active reconnect
+    /// backoffs).
     pub fn liveness_tracker(&self) -> Option<&LivenessTracker> {
         self.liveness.as_ref()
     }
@@ -793,7 +877,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             compaction_epoch: self.compaction_epoch,
             config: self.config,
             method: self.method,
-            parallel: self.parallel,
             mode: self.mode,
             adopters: self.adopters.clone(),
             strategy_state: self.strategy.snapshot_state(),
@@ -831,7 +914,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             compaction_epoch,
             config,
             method,
-            parallel,
             mode,
             adopters,
             strategy_state,
@@ -874,7 +956,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 adopters,
                 mode,
                 address_book,
-                parallel,
                 shards: 1,
                 round: round as usize,
                 view: None,
@@ -899,19 +980,6 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             },
             rng,
         ))
-    }
-
-    /// Enables or disables the parallel block fan-out inside rounds
-    /// (enabled by default). Results are bit-identical either way — blocks
-    /// within a round are independent and merged in block order — so this
-    /// only exists for determinism tests and single-core benchmarking.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
-    /// Whether rounds fan blocks out across the rayon pool.
-    pub fn parallel(&self) -> bool {
-        self.parallel
     }
 
     /// Splits every analytic flood into `shards` contiguous node-range
@@ -1006,10 +1074,11 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         self.round
     }
 
-    /// The propagation phase of a round: floods `miners`' blocks over the
-    /// current topology (fanned out across the rayon pool when
-    /// [`PerigeeEngine::parallel`] is set) and collects every node's
-    /// per-neighbor observations plus per-block λ50/λ90.
+    /// The propagation phase of a fresh round over the current world:
+    /// floods `miners`' blocks, fault-free, through a new snapshot and
+    /// collects every node's per-neighbor observations plus per-block
+    /// λ50/λ90 — what [`PerigeeEngine::run_round`]'s propagation phase
+    /// computes, without advancing the run.
     ///
     /// Blocks are independent under the §2.1 model and consume no RNG, so
     /// each worker pushes contiguous chunks of blocks through one
@@ -1017,45 +1086,113 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// [`BroadcastScratch`] under [`PropagationMode::Analytic`], a
     /// [`GossipScratch`] under [`PropagationMode::Gossip`] — and the
     /// chunks are merged back in block order: the result is bit-identical
-    /// to a sequential loop in either mode. The dense backend runs the
+    /// across thread counts in either mode. The dense backend runs the
     /// round's blocks as one window; the sketch backend runs windows of
     /// a few blocks per worker and folds each into the
     /// per-edge sketches before the next, so its transient dense rows
     /// stay O(workers × edges).
     pub fn observe_round(&self, miners: &[NodeId]) -> RoundObservations {
         let view = TopologyView::new(&self.topology, &self.latency, &self.population);
-        self.observe_round_with(&view, miners)
+        self.propagation_phase(&view, miners, None)
     }
 
-    /// Like [`PerigeeEngine::observe_round`] but floods through a
-    /// caller-supplied snapshot instead of building one — the hot path of
-    /// [`PerigeeEngine::run_round`], which carries one view across rounds
-    /// and patches it incrementally between them.
+    /// Runs one full round as a pipeline of named phases: mine, view,
+    /// fault_compile, propagation, traffic, scoring, liveness, rewiring
+    /// (disconnect), churn, rewiring (refill), view_patch and — at the
+    /// configured cadence — audit, then the round's trace record. The
+    /// carried CSR snapshot is patched with the round's node and edge
+    /// delta instead of being rebuilt for the next round.
     ///
-    /// # Panics
-    ///
-    /// Panics (possibly deep in the flood) if `view` is not a faithful
-    /// snapshot of the engine's current topology, latency model and
-    /// population.
-    pub fn observe_round_with(&self, view: &TopologyView, miners: &[NodeId]) -> RoundObservations {
-        self.observe_round_faulted(view, miners, None, 0)
+    /// Each phase is one lap of a [`PhaseTimer`], which reads no clock
+    /// unless a telemetry handle is installed. Laps only bracket phases
+    /// — they never branch the simulation — so traced rounds stay
+    /// bit-identical to untraced ones.
+    pub fn run_round<R: Rng>(&mut self, rng: &mut R) -> RoundStats {
+        let mut timer = PhaseTimer::new(self.telemetry.is_some());
+        let k = self.config.blocks_per_round;
+        let miners = self.sampler.sample_round(k, rng);
+        timer.lap("mine");
+        let view = self.view_phase();
+        timer.lap("view");
+        let faults = self.fault_compile_phase(&view);
+        timer.lap("fault_compile");
+        let mut round = self.propagation_phase(&view, &miners, faults.as_ref());
+        self.blocks_simulated += miners.len();
+        timer.lap("propagation");
+        let traffic_messages = self.traffic_phase(&view, &mut round);
+        timer.lap("traffic");
+        let (mut drops, gated) = self.scoring_phase(&round, rng);
+        timer.lap("scoring");
+        let evicted = self.liveness_phase(&round, &mut drops);
+        timer.lap("liveness");
+        let (mut removed, dropped) = self.disconnect_phase(&drops);
+        timer.lap("rewiring");
+        let delta = self.run_churn_phase(&mut removed, rng);
+        timer.lap("churn");
+        let added = self.refill_phase(rng);
+        timer.lap("rewiring");
+        self.view_patch_phase(view, &delta, RoundDelta::new(removed, added));
+        timer.lap("view_patch");
+        let (mean_lambda90_ms, mean_lambda50_ms, p90_lambda90_ms) = round.lambda_summary(k);
+        let stats = RoundStats {
+            round: self.round,
+            mean_lambda90_ms,
+            mean_lambda50_ms,
+            p90_lambda90_ms,
+            blocks: k,
+            dropped,
+            joined: delta.joined.len(),
+            departed: delta.departed.len(),
+            gated,
+            evicted,
+        };
+        self.last_delta = delta;
+        self.round += 1;
+        if self.audit_every > 0 && self.round.is_multiple_of(self.audit_every) {
+            self.audit_phase();
+            timer.lap("audit");
+        }
+        self.trace_record(&timer, &stats, round.counters, traffic_messages);
+        stats
     }
 
-    /// Like [`PerigeeEngine::observe_round_with`] but under a compiled
-    /// round of link faults: every announcement leg runs through
-    /// [`RoundFaults::block`]'s per-edge drop/delay/duplication draws
-    /// (`faults: None` takes the exact fault-free code path). Because a
-    /// block's fault pattern is keyed on its *global* index
-    /// `base_block + position`, not on which worker simulates it, the
-    /// result stays bit-identical across thread counts.
-    pub fn observe_round_faulted(
+    /// The view phase: takes the CSR snapshot carried from the last
+    /// round, building (and counting) a fresh one only when none is
+    /// carried.
+    fn view_phase(&mut self) -> TopologyView {
+        self.view.take().unwrap_or_else(|| {
+            self.view_rebuilds += 1;
+            TopologyView::new(&self.topology, &self.latency, &self.population)
+        })
+    }
+
+    /// The fault_compile phase: compiles the installed fault plan for
+    /// this round against the carried snapshot. `None` — no plan, or a
+    /// round that compiles to no faults (an inert plan, or a windowed
+    /// plan outside its windows) — takes the untouched zero-fault hot
+    /// path.
+    fn fault_compile_phase(&self, view: &TopologyView) -> Option<RoundFaults> {
+        let plan = self.fault_plan.as_ref()?;
+        let regions: Vec<Region> = self.population.iter().map(|p| p.region).collect();
+        let compiled = plan.compile(self.round, view, &regions);
+        (!compiled.is_inert()).then_some(compiled)
+    }
+
+    /// The propagation phase: floods `miners`' blocks through `view` (see
+    /// [`PerigeeEngine::observe_round`]), under a compiled round of link
+    /// faults when one is given — every announcement leg then runs
+    /// through [`RoundFaults::block`]'s per-edge drop/delay/duplication
+    /// draws. A block's fault pattern is keyed on its run-global index
+    /// (blocks simulated so far + its position), not on which worker
+    /// simulates it, so the result stays bit-identical across thread
+    /// counts: windowing is a scheduling detail, never a semantic one.
+    fn propagation_phase(
         &self,
         view: &TopologyView,
         miners: &[NodeId],
         faults: Option<&RoundFaults>,
-        base_block: usize,
     ) -> RoundObservations {
-        let workers = self.workers(miners.len());
+        let workers = workers(miners.len());
         let backend = self.config.observation_backend;
         let per_lane = match backend {
             ObservationBackend::Dense => miners.len().max(1).div_ceil(workers),
@@ -1070,57 +1207,21 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             store.reserve_blocks(miners.len());
         }
         let mut lanes: Vec<Lane<BlockSim, (f64, f64)>> = (0..workers)
-            .map(|_| {
-                let sim = match self.mode {
-                    // A flood lane owns a shard workspace (reused across
-                    // its blocks) when flood sharding is on.
-                    PropagationMode::Analytic => BlockSim::Flood(
-                        BroadcastScratch::with_capacity(view.len()),
-                        (self.shards > 1).then(|| ShardWorkspace::new(self.shards)),
-                    ),
-                    PropagationMode::Gossip(cfg) => BlockSim::Gossip(
-                        GossipScratch::with_capacity(view.len(), view.directed_edge_count()),
-                        cfg,
-                    ),
-                };
-                Lane::new(sim, view, per_lane, true)
-            })
+            .map(|_| BlockSim::new(self.mode, view, self.shards))
+            .map(|sim| Lane::new(sim, view, per_lane, true))
             .collect();
-        // Each block's fault pattern is keyed on its global index
-        // `base_block + position`: windowing is a scheduling detail,
-        // never a semantic one.
+        let base_block = self.blocks_simulated;
         let record = |lane: &mut Lane<BlockSim, _>, start: usize, chunk: &[NodeId]| {
             let mut coverage = [SimTime::ZERO; 2];
             for (j, &miner) in chunk.iter().enumerate() {
                 let bf = faults.map(|rf| rf.block(base_block + start + j));
-                let arrivals = match &mut lane.sim {
-                    BlockSim::Flood(scratch, shard_ws) => {
-                        match shard_ws {
-                            Some(ws) => {
-                                view.broadcast_sharded_into_faulted(miner, scratch, bf.as_ref(), ws)
-                            }
-                            None => view.broadcast_into_faulted(miner, scratch, bf.as_ref()),
-                        }
-                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        match &bf {
-                            Some(b) => lane.rows.record_scratch_faulted(view, scratch, b),
-                            None => lane.rows.record_scratch(view, scratch),
-                        }
-                        scratch.arrivals()
-                    }
-                    BlockSim::Gossip(scratch, cfg) => {
-                        view.gossip_into_faulted(miner, cfg, scratch, bf.as_ref());
-                        scratch.coverage_times_into(view, &[0.9, 0.5], &mut coverage);
-                        // The gossip scratch's delivery matrix already
-                        // holds the faulted announcement times, so the
-                        // fault-free collector reads it unchanged.
-                        lane.rows.record_gossip_scratch(view, scratch);
-                        scratch.arrivals()
-                    }
-                };
+                lane.sim.run(view, miner, bf.as_ref());
+                lane.sim
+                    .coverage_times_into(view, &[0.9, 0.5], &mut coverage);
+                lane.sim.record(view, &mut lane.rows, bf.as_ref());
                 lane.lambdas
                     .push((coverage[0].as_ms(), coverage[1].as_ms()));
-                for (s, t) in lane.seen.iter_mut().zip(arrivals) {
+                for (s, t) in lane.seen.iter_mut().zip(lane.sim.arrivals()) {
                     *s += u32::from(t.as_ms().is_finite());
                 }
             }
@@ -1147,10 +1248,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             for (acc, x) in seen.iter_mut().zip(&lane.seen) {
                 *acc += x;
             }
-            counters.merge(&match &mut lane.sim {
-                BlockSim::Flood(scratch, _) => scratch.take_counters(),
-                BlockSim::Gossip(scratch, _) => scratch.take_counters(),
-            });
+            counters.merge(&lane.sim.take_counters());
         }
         RoundObservations {
             observations,
@@ -1161,22 +1259,15 @@ impl<L: LatencyModel> PerigeeEngine<L> {
         }
     }
 
-    /// How many workers (and lanes) a fan-out of `items` independent
-    /// rows uses: one per rayon thread when [`PerigeeEngine::parallel`]
-    /// is set, never more than there are rows, and one otherwise.
-    fn workers(&self, items: usize) -> usize {
-        if self.parallel {
-            rayon::current_num_threads().clamp(1, items.max(1))
-        } else {
-            1
-        }
-    }
-
-    /// The traffic phase of a round: pushes `messages` (the round's
-    /// transaction stream, in canonical origination order) through the
-    /// snapshot in batched announcement passes, adds every message's
-    /// observation row behind the rows already in `observations`, and
-    /// returns the per-class λ-statistics.
+    /// The traffic phase: when a workload is installed, generates the
+    /// round's transaction stream (keyed on the pre-increment round
+    /// index, the exact key a resumed run regenerates), pushes it
+    /// through `view` in batched announcement passes, adds every
+    /// message's observation row behind the block rows of `round` — so
+    /// scoring and liveness read the combined load, while `seen` and the
+    /// gating mask stay blocks-only by design — and records the
+    /// per-class λ-statistics. Returns the round's message count (0
+    /// without a workload).
     ///
     /// Messages are mutually independent like blocks, so the batch fans
     /// out over the rayon pool in windows of [`TRAFFIC_WINDOW`] messages
@@ -1189,17 +1280,15 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// [`TopologyView::gossip_into`] call per message (the batch
     /// engine's contract), whatever the thread count, and holds the
     /// transient dense rows at one window's worth.
-    fn observe_traffic(
-        &self,
-        view: &TopologyView,
-        config: &TrafficConfig,
-        messages: &[TrafficMessage],
-        observations: &mut RoundStore,
-    ) -> (TrafficRoundStats, SimCounters) {
+    fn traffic_phase(&mut self, view: &TopologyView, round: &mut RoundObservations) -> usize {
+        let Some(config) = &self.traffic else {
+            return 0;
+        };
+        let messages = config.messages_for_round(self.round as u64, &self.population);
         let mut batch = Vec::new();
-        config.batch_for(messages, &mut batch);
-        let workers = self.workers(batch.len());
-        if let RoundStore::Dense(store) = observations {
+        config.batch_for(&messages, &mut batch);
+        let workers = workers(batch.len());
+        if let RoundStore::Dense(store) = &mut round.observations {
             store.reserve_blocks(batch.len());
         }
         let rows_per_lane = batch.len().div_ceil(workers).min(TRAFFIC_WINDOW);
@@ -1247,14 +1336,13 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             &batch,
             &mut lanes,
             TRAFFIC_WINDOW,
-            observations,
+            &mut round.observations,
             record,
             emit,
         );
 
-        let mut counters = SimCounters::ZERO;
         for lane in &mut lanes {
-            counters.merge(&lane.sim.take_counters());
+            round.counters.merge(&lane.sim.take_counters());
         }
         for c in &mut per_class {
             if c.messages > 0 {
@@ -1265,272 +1353,145 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 c.mean_lambda50_ms = f64::INFINITY;
             }
         }
-        (
-            TrafficRoundStats {
-                messages: messages.len(),
-                per_class,
-            },
-            counters,
-        )
+        self.last_traffic = Some(TrafficRoundStats {
+            messages: messages.len(),
+            per_class,
+        });
+        messages.len()
     }
 
-    /// Runs one full round: mine, observe (blocks, then the traffic
-    /// stream when a workload is installed), score, apply the lifetime
-    /// process (if one is installed), rewire — then patch the carried CSR
-    /// snapshot with the round's node and edge delta instead of
-    /// rebuilding it for the next round.
-    pub fn run_round<R: Rng>(&mut self, rng: &mut R) -> RoundStats {
-        // Phase tracing: disabled (no clock reads at all) unless a
-        // telemetry handle is installed. Laps only bracket phases — they
-        // never branch the simulation — so traced rounds stay
-        // bit-identical to untraced ones.
-        let mut timer = PhaseTimer::new(self.telemetry.is_some());
+    /// The scoring phase: every adopter decides which outgoing neighbors
+    /// to keep, based on the same synchronous snapshot ([`score_drops`]),
+    /// then gated nodes explore. Returns the drops and how many nodes
+    /// were gated.
+    ///
+    /// Stability gating (rusty-kaspa's `PerigeeManager` behaviour): a
+    /// node whose view of the round was visibly degraded — its
+    /// blocks-seen count deviates from the round's block count beyond
+    /// the tolerance — must not read the round's timings as a
+    /// neighbor-quality signal: that is network weather, not neighbor
+    /// slowness. Gated nodes skip scoring (and UCB history absorption)
+    /// but keep exploring. On a healthy network every node sees every
+    /// block, so the mask is all-false and the round is bit-identical to
+    /// an ungated one.
+    fn scoring_phase<R: Rng>(
+        &mut self,
+        round: &RoundObservations,
+        rng: &mut R,
+    ) -> (Vec<(NodeId, Vec<NodeId>)>, usize) {
         let k = self.config.blocks_per_round;
-        let miners = self.sampler.sample_round(k, rng);
-        timer.lap("mine");
-        let mut view = match self.view.take() {
-            Some(view) => view,
-            None => {
-                self.view_rebuilds += 1;
-                TopologyView::new(&self.topology, &self.latency, &self.population)
-            }
-        };
-        timer.lap("view");
-        // Compile this round's link faults against the carried snapshot
-        // (`None` — the common case — costs nothing); key every block on
-        // its run-global index so fault patterns are chunking-invariant.
-        let faults = self.fault_plan.as_ref().and_then(|plan| {
-            let regions: Vec<Region> = self.population.iter().map(|p| p.region).collect();
-            let compiled = plan.compile(self.round, &view, &regions);
-            // A round that compiles to no faults (inert plan, or a
-            // windowed plan outside its windows) takes the untouched
-            // zero-fault hot path.
-            (!compiled.is_inert()).then_some(compiled)
-        });
-        timer.lap("fault_compile");
-        let base_block = self.blocks_simulated;
-        let round_obs = self.observe_round_faulted(&view, &miners, faults.as_ref(), base_block);
-        timer.lap("propagation");
-        self.blocks_simulated += miners.len();
-        let mut round_counters = round_obs.counters();
-        let (mut observations, lambda90, lambda50, seen) = round_obs.into_parts();
-        // Left-fold in block order: the exact accumulation order of the
-        // legacy sequential loop, so the means are bit-identical.
-        let sum90: f64 = lambda90.iter().sum();
-        let sum50: f64 = lambda50.iter().sum();
-
-        // The traffic phase: the round's transaction stream rides the
-        // same carried snapshot, keyed on the pre-increment round index
-        // (the exact key a resumed run regenerates). Its observation
-        // rows land behind the block rows, so scoring and liveness below
-        // read the combined load; `seen` and the gating mask stay
-        // blocks-only by design.
-        let traffic_stats = self.traffic.as_ref().map(|traffic| {
-            let messages = traffic.messages_for_round(self.round as u64, &self.population);
-            let (stats, tc) = self.observe_traffic(&view, traffic, &messages, &mut observations);
-            round_counters.merge(&tc);
-            stats
-        });
-        timer.lap("traffic");
-        let traffic_messages = traffic_stats.as_ref().map_or(0, |t| t.messages);
-        if traffic_stats.is_some() {
-            self.last_traffic = traffic_stats;
-        }
-
-        // Stability gating (rusty-kaspa's `PerigeeManager` behaviour): a
-        // node whose view of the round was visibly degraded — its
-        // blocks-seen count deviates from the round's block count beyond
-        // the tolerance — must not read the round's timings as a
-        // neighbor-quality signal: that is network weather, not neighbor
-        // slowness. Gated nodes skip scoring (and UCB history
-        // absorption) below, but keep exploring. On a healthy network
-        // every node sees every block, so this mask is all-false and the
-        // round is bit-identical to an ungated one.
         let tol = self.config.stability_tolerance;
-        let mut gated = Vec::new();
-        if tol.is_finite() {
-            gated = (0..self.population.len())
-                .map(|i| {
-                    self.adopters[i]
-                        && self.population.is_alive(NodeId::new(i as u32))
-                        && k.saturating_sub(seen[i] as usize) as f64 > tol * k as f64
-                })
-                .collect();
-        }
-        let gated_any = gated.iter().any(|&g| g);
-        let effective: Vec<bool>;
-        let score_adopters: &[bool] = if gated_any {
-            effective = self
-                .adopters
-                .iter()
-                .zip(&gated)
-                .map(|(&a, &g)| a && !g)
-                .collect();
-            &effective
-        } else {
-            &self.adopters
-        };
-
-        // Phase 1: every adopter decides which outgoing neighbors to keep,
-        // based on the same synchronous snapshot. Nodes score
-        // independently, so scoring fans out over the rayon pool in
-        // id-ordered chunks; merging the chunks in order reproduces the
-        // sequential loop exactly. Stateless strategies (Vanilla/Subset —
-        // no cross-round state, no RNG) share themselves immutably;
-        // stateful-but-partitioned strategies (UCB) split into a shared
-        // scorer plus disjoint per-node `&mut` histories
-        // ([`SelectionStrategy::split_stateful`]), so each worker mutates
-        // only its own chunk's state. Neither path consumes RNG, so the
-        // stream matches the sequential loop either way.
-        let mut drops: Vec<(NodeId, Vec<NodeId>)> = if self.parallel && self.strategy.is_stateless()
-        {
-            let n = self.population.len();
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let chunk_count = rayon::current_num_threads().clamp(1, n.max(1));
-            let chunk_size = n.max(1).div_ceil(chunk_count);
-            let chunks: Vec<&[u32]> = ids.chunks(chunk_size).collect();
-            let (strategy, topology, adopters) = (&self.strategy, &self.topology, score_adopters);
-            let observations = &observations;
-            let parts: Vec<Vec<(NodeId, Vec<NodeId>)>> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    compute_drops(chunk.iter().copied(), adopters, topology, |v, outgoing| {
-                        strategy.retain_stateless(v, outgoing, observations.node(v))
-                    })
-                })
-                .collect();
-            parts.into_iter().flatten().collect()
-        } else if self.parallel && self.strategy.split_stateful().is_some() {
-            let n = self.population.len();
-            let chunk_size = n
-                .max(1)
-                .div_ceil(rayon::current_num_threads().clamp(1, n.max(1)));
-            let (strategy, topology, adopters) =
-                (&mut self.strategy, &self.topology, score_adopters);
-            let observations = &observations;
-            let StatefulSplit { scorer, states } =
-                strategy.split_stateful().expect("checked above");
-            assert_eq!(states.len(), n, "per-node state must cover every node");
-            let parts: Vec<Vec<(NodeId, Vec<NodeId>)>> =
-                rayon::par_map_chunks_mut(states, chunk_size, |ci, chunk| {
-                    let base = (ci * chunk_size) as u32;
-                    let mut drops = Vec::new();
-                    for (j, state) in chunk.iter_mut().enumerate() {
-                        let v = NodeId::new(base + j as u32);
-                        if !adopters[v.index()] {
-                            continue;
-                        }
-                        let outgoing = topology.outgoing_vec(v);
-                        if outgoing.is_empty() {
-                            continue;
-                        }
-                        let retained =
-                            scorer.retain_stateful(v, &outgoing, observations.node(v), state);
-                        let dropped = diff_drops(&outgoing, &retained);
-                        if !dropped.is_empty() {
-                            drops.push((v, dropped));
-                        }
-                    }
-                    drops
-                });
-            parts.into_iter().flatten().collect()
-        } else {
-            let (strategy, topology, adopters) =
-                (&mut self.strategy, &self.topology, score_adopters);
-            let observations = &observations;
-            compute_drops(0..self.population.len() as u32, adopters, topology, {
-                |v, outgoing| strategy.retain(v, outgoing, observations.node(v), &mut *rng)
+        let gated: Vec<bool> = (0..self.population.len())
+            .map(|i| {
+                tol.is_finite()
+                    && self.adopters[i]
+                    && self.population.is_alive(NodeId::new(i as u32))
+                    && k.saturating_sub(round.seen[i] as usize) as f64 > tol * k as f64
             })
-        };
+            .collect();
+        let mut scored = self.adopters.clone();
+        for (s, &g) in scored.iter_mut().zip(&gated) {
+            *s &= !g;
+        }
+        let mut drops = score_drops(
+            &mut *self.strategy,
+            &self.topology,
+            &scored,
+            &round.observations,
+        );
 
         // Gated nodes still explore, but conservatively: each drops one
         // random outgoing link (bounded by the explore budget) so the
-        // refill below draws a fresh candidate — the escape hatch that
-        // keeps a weather-wedged topology moving without scrambling the
-        // learned neighborhood while its quality signal is unreadable.
-        // A node gated through a long outage thus keeps most of its
-        // pre-outage links, which is the point of gating: transient
-        // weather must not evict durable good peers. Sequential and
-        // id-ordered, and RNG is consumed only when gating actually
-        // fired, so clean runs stay bit-identical.
-        let mut gated_count = 0usize;
-        if gated_any {
-            let explore = self.config.explore.min(1);
-            for (i, &is_gated) in gated.iter().enumerate() {
-                if !is_gated {
-                    continue;
-                }
-                gated_count += 1;
-                if explore == 0 {
-                    continue;
-                }
-                let v = NodeId::new(i as u32);
-                let mut outgoing = self.topology.outgoing_vec(v);
-                if outgoing.is_empty() {
-                    continue;
-                }
-                outgoing.shuffle(rng);
-                outgoing.truncate(explore);
-                drops.push((v, outgoing));
+        // refill draws a fresh candidate — the escape hatch that keeps a
+        // weather-wedged topology moving without scrambling the learned
+        // neighborhood while its quality signal is unreadable. A node
+        // gated through a long outage thus keeps most of its pre-outage
+        // links, which is the point of gating: transient weather must
+        // not evict durable good peers. Sequential and id-ordered, and
+        // RNG is consumed only when gating actually fired, so clean runs
+        // stay bit-identical.
+        let explore = self.config.explore.min(1);
+        let mut gated_count = 0;
+        for (i, _) in gated.iter().enumerate().filter(|&(_, &g)| g) {
+            gated_count += 1;
+            let v = NodeId::new(i as u32);
+            let mut outgoing = self.topology.outgoing_vec(v);
+            if explore == 0 || outgoing.is_empty() {
+                continue;
             }
+            outgoing.shuffle(rng);
+            outgoing.truncate(explore);
+            drops.push((v, outgoing));
         }
-        timer.lap("scoring");
+        (drops, gated_count)
+    }
 
-        // Peer liveness: feed the round's deliveries to the tracker and
-        // force-drop connections whose far side has been silent past the
-        // eviction threshold; evicted peers go under reconnect backoff
-        // so the refill below stops redrawing them until it expires.
-        let mut evicted_count = 0usize;
-        if let Some(tracker) = &mut self.liveness {
-            let lcfg = self.config.liveness;
-            let round = self.round as u64;
-            let mut verdicts = Vec::new();
-            for (i, &seen_i) in seen.iter().enumerate().take(self.population.len()) {
-                let v = NodeId::new(i as u32);
-                if !self.population.is_alive(v) {
-                    continue;
-                }
-                let outgoing = self.topology.outgoing_vec(v);
-                if outgoing.is_empty() {
-                    continue;
-                }
-                let obs = observations.node(v);
-                let mut delivered = |u: NodeId| obs.times_for(u).any(|t| t.is_finite());
-                tracker.observe(
-                    &lcfg,
-                    v,
-                    &outgoing,
-                    seen_i > 0,
-                    &mut delivered,
-                    &mut verdicts,
-                );
-                let mut dead = Vec::new();
-                for (&u, &verdict) in outgoing.iter().zip(verdicts.iter()) {
-                    if verdict == PeerHealth::Evict {
-                        dead.push(u);
-                        tracker.note_failure(&lcfg, v, u, round);
-                    } else if delivered(u) {
-                        tracker.note_success(v, u);
-                    }
-                }
-                if !dead.is_empty() {
-                    evicted_count += dead.len();
-                    drops.push((v, dead));
+    /// The liveness phase: feeds the round's deliveries to the tracker
+    /// (when the layer is enabled) and force-drops connections whose far
+    /// side has been silent past the eviction threshold; evicted peers
+    /// go under reconnect backoff so the refill stops redrawing them
+    /// until it expires. Returns how many connections were evicted.
+    fn liveness_phase(
+        &mut self,
+        round: &RoundObservations,
+        drops: &mut Vec<(NodeId, Vec<NodeId>)>,
+    ) -> usize {
+        let Some(tracker) = &mut self.liveness else {
+            return 0;
+        };
+        let lcfg = self.config.liveness;
+        let now = self.round as u64;
+        let mut evicted = 0;
+        let mut verdicts = Vec::new();
+        for (i, &seen_i) in round.seen.iter().enumerate().take(self.population.len()) {
+            let v = NodeId::new(i as u32);
+            if !self.population.is_alive(v) {
+                continue;
+            }
+            let outgoing = self.topology.outgoing_vec(v);
+            if outgoing.is_empty() {
+                continue;
+            }
+            let obs = round.observations.node(v);
+            let mut delivered = |u: NodeId| obs.times_for(u).any(|t| t.is_finite());
+            tracker.observe(
+                &lcfg,
+                v,
+                &outgoing,
+                seen_i > 0,
+                &mut delivered,
+                &mut verdicts,
+            );
+            let mut dead = Vec::new();
+            for (&u, &verdict) in outgoing.iter().zip(verdicts.iter()) {
+                if verdict == PeerHealth::Evict {
+                    dead.push(u);
+                    tracker.note_failure(&lcfg, v, u, now);
+                } else if delivered(u) {
+                    tracker.note_success(v, u);
                 }
             }
+            if !dead.is_empty() {
+                evicted += dead.len();
+                drops.push((v, dead));
+            }
         }
-        timer.lap("liveness");
+        evicted
+    }
 
-        // Phase 2: apply all disconnections first (freeing incoming slots
-        // network-wide), then let the world itself move, then refill in
-        // random node order for fairness. Every net change to the
-        // undirected communication graph is logged so the view can be
-        // patched instead of rebuilt.
-        let mut removed: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut added: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut dropped_total = 0;
-        for (v, dropped) in &drops {
-            for &u in dropped {
+    /// The first rewiring step: applies every disconnection before the
+    /// world moves and the refill runs, freeing incoming slots
+    /// network-wide. Returns each net removal from the undirected
+    /// communication graph (so the view can be patched instead of
+    /// rebuilt) and how many connections were dropped.
+    fn disconnect_phase(
+        &mut self,
+        drops: &[(NodeId, Vec<NodeId>)],
+    ) -> (Vec<(NodeId, NodeId)>, usize) {
+        let mut removed = Vec::new();
+        let mut dropped = 0;
+        for (v, lost) in drops {
+            for &u in lost {
                 if !self.topology.are_connected(*v, u) {
                     // Already severed by an earlier drop entry this
                     // round (a gated exploration drop and a liveness
@@ -1542,117 +1503,96 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 if !self.topology.are_connected(*v, u) {
                     removed.push((*v, u));
                 }
-                dropped_total += 1;
+                dropped += 1;
             }
         }
-        timer.lap("rewiring");
+        (removed, dropped)
+    }
 
-        // Phase 2.5: the lifetime process — departures tear down (their
-        // freed incoming slots are refilled by survivors in the loop
-        // below, via the same exploration/discovery path as scoring
-        // drops), arrivals spawn into fresh stable ids and bootstrap in
-        // that same loop.
-        let delta = self.run_churn_phase(&mut removed, rng);
-        timer.lap("churn");
-
+    /// The second rewiring step, after the lifetime process: refills
+    /// free outgoing slots in random node order (for fairness) through
+    /// the same exploration/discovery path that serves scoring drops,
+    /// departures' freed slots and arrivals' bootstrap alike, then
+    /// refreshes partial views by gossiping addresses along the new
+    /// edges. Returns every new undirected edge, for the view patch.
+    fn refill_phase<R: Rng>(&mut self, rng: &mut R) -> Vec<(NodeId, NodeId)> {
+        let mut added = Vec::new();
         let mut order: Vec<u32> = (0..self.population.len() as u32).collect();
         order.shuffle(rng);
-        for &i in &order {
-            let v = NodeId::new(i);
-            if !self.adopters[v.index()] || !self.population.is_alive(v) {
-                continue;
+        for v in order.into_iter().map(NodeId::new) {
+            if self.adopters[v.index()] && self.population.is_alive(v) {
+                self.fill_random_connections(v, rng, &mut added);
             }
-            self.fill_random_connections(v, rng, Some(&mut added));
         }
-
-        // Refresh partial views by gossiping addresses along the new edges.
         if let Some(book) = &mut self.address_book {
             book.exchange(&self.topology, 2, rng);
         }
-        timer.lap("rewiring");
+        added
+    }
 
-        // Carry the snapshot into the next round: patch the rewired edges
-        // (and, under churn, the moved node set) in place — latency calls
-        // only for the additions.
-        let rewiring = RoundDelta::new(removed, added);
+    /// The view_patch phase: carries the snapshot into the next round,
+    /// patching the rewired edges (and, under churn, the moved node set)
+    /// in place — latency-model calls only for the additions.
+    fn view_patch_phase(
+        &mut self,
+        mut view: TopologyView,
+        delta: &WorldDelta,
+        rewiring: RoundDelta,
+    ) {
         if delta.is_empty() {
             view.apply_rewiring(&rewiring, &self.latency);
         } else {
-            view.apply_world_delta(&delta, &rewiring, &self.latency, &self.population);
+            view.apply_world_delta(delta, &rewiring, &self.latency, &self.population);
         }
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            view,
-            TopologyView::new(&self.topology, &self.latency, &self.population),
-            "incrementally patched view diverged from a fresh build"
-        );
         self.view = Some(view);
-        timer.lap("view_patch");
+        #[cfg(debug_assertions)]
+        self.assert_view_consistency();
+    }
 
-        // Track the round's λ90 distribution (not just its mean) with the
-        // constant-space streaming estimator — the per-round λ-curve the
-        // dynamic-world experiments plot.
-        let mut p90 = P2Quantile::new(90.0);
-        for &l in &lambda90 {
-            p90.observe(l);
+    /// The audit phase: one release-mode invariant pass over the
+    /// completed round's state; violations are kept as structured
+    /// reports for the caller (strict harnesses snapshot-and-abort; see
+    /// `repro … --audit-strict`).
+    fn audit_phase(&mut self) {
+        let report = self.audit();
+        self.audits_run += 1;
+        if !report.is_clean() {
+            self.audit_failures.push(report);
         }
+    }
 
-        let (joined, departed) = (delta.joined.len(), delta.departed.len());
-        self.last_delta = delta;
-        self.round += 1;
-
-        // Release-mode invariant audit at the configured cadence: the
-        // completed round's state is checked in place, and violations are
-        // kept as structured reports for the caller (strict harnesses
-        // snapshot-and-abort; see `repro … --audit-strict`).
-        if self.audit_every > 0 && self.round.is_multiple_of(self.audit_every) {
-            let report = self.audit();
-            self.audits_run += 1;
-            if !report.is_clean() {
-                self.audit_failures.push(report);
-            }
-            timer.lap("audit");
-        }
-
-        let stats = RoundStats {
-            round: self.round - 1,
-            mean_lambda90_ms: sum90 / k as f64,
-            mean_lambda50_ms: sum50 / k as f64,
-            p90_lambda90_ms: p90.estimate_or_inf(),
-            blocks: k,
-            dropped: dropped_total,
-            joined,
-            departed,
-            gated: gated_count,
-            evicted: evicted_count,
+    /// Emits the round's self-describing trace record when telemetry is
+    /// installed: the phase laps, the round's hot-path counters and
+    /// statistics, and the snapshot-rebuild and compaction progress.
+    /// Pure observation of already-computed state.
+    fn trace_record(
+        &mut self,
+        timer: &PhaseTimer,
+        stats: &RoundStats,
+        counters: SimCounters,
+        traffic_messages: usize,
+    ) {
+        let Some(tel) = &mut self.telemetry else {
+            return;
         };
-
-        // One self-describing trace record per round. The take/put-back
-        // avoids borrowing `self` twice; everything below is pure
-        // observation of already-computed state.
-        if let Some(mut tel) = self.telemetry.take() {
-            let mut rec = tel.round_record(stats.round as u64);
-            rec.set_phases(timer.profile());
-            for (name, v) in round_counters.entries() {
-                rec.counter(name, v);
-            }
-            rec.counter("blocks", stats.blocks as u64);
-            rec.counter("dropped", stats.dropped as u64);
-            rec.counter("joined", stats.joined as u64);
-            rec.counter("departed", stats.departed as u64);
-            rec.counter("gated", stats.gated as u64);
-            rec.counter("evicted", stats.evicted as u64);
-            rec.counter("traffic_messages", traffic_messages as u64);
-            rec.counter("view_rebuilds", self.view_rebuilds as u64);
-            rec.counter("compaction_epoch", self.compaction_epoch);
-            rec.value("mean_lambda90_ms", stats.mean_lambda90_ms);
-            rec.value("mean_lambda50_ms", stats.mean_lambda50_ms);
-            rec.value("p90_lambda90_ms", stats.p90_lambda90_ms);
-            tel.emit(&rec);
-            self.telemetry = Some(tel);
+        let mut rec = tel.round_record(stats.round as u64);
+        rec.set_phases(timer.profile());
+        for (name, v) in counters.entries() {
+            rec.counter(name, v);
         }
-
-        stats
+        rec.counter("blocks", stats.blocks as u64);
+        rec.counter("dropped", stats.dropped as u64);
+        rec.counter("joined", stats.joined as u64);
+        rec.counter("departed", stats.departed as u64);
+        rec.counter("gated", stats.gated as u64);
+        rec.counter("evicted", stats.evicted as u64);
+        rec.counter("traffic_messages", traffic_messages as u64);
+        rec.counter("view_rebuilds", self.view_rebuilds as u64);
+        rec.counter("compaction_epoch", self.compaction_epoch);
+        rec.value("mean_lambda90_ms", stats.mean_lambda90_ms);
+        rec.value("mean_lambda50_ms", stats.mean_lambda50_ms);
+        rec.value("p90_lambda90_ms", stats.p90_lambda90_ms);
+        tel.emit(&rec);
     }
 
     /// The dynamic-world half of a round: consumes the installed
@@ -1821,7 +1761,7 @@ impl<L: LatencyModel> PerigeeEngine<L> {
             tracker.retire(v);
         }
         let mut added = Vec::new();
-        self.fill_random_connections(v, rng, Some(&mut added));
+        self.fill_random_connections(v, rng, &mut added);
         if let Some(view) = self.view.as_mut() {
             view.apply_world_delta(
                 &WorldDelta::reset(v),
@@ -1835,11 +1775,10 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// Evaluates the current topology: for every node `v`, the time λv for
     /// a block mined by `v` to reach `fraction` of the hash power.
     /// Returns per-node values in id order (ms). Always uses the analytic
-    /// engine; see
-    /// [`PerigeeEngine::evaluate_in_mode`] to measure under the active
-    /// propagation mode instead.
+    /// engine; see [`PerigeeEngine::evaluate_in_mode`] to measure under
+    /// the active propagation mode instead.
     pub fn evaluate(&self, fraction: f64) -> Vec<f64> {
-        evaluate_topology(&self.topology, &self.latency, &self.population, fraction)
+        self.evaluate_sources(self.population.ids(), PropagationMode::Analytic, fraction)
     }
 
     /// Like [`PerigeeEngine::evaluate`] but restricted to *live* sources,
@@ -1848,62 +1787,44 @@ impl<L: LatencyModel> PerigeeEngine<L> {
     /// (a dead node has no edges and zero hash power). Identical to
     /// [`PerigeeEngine::evaluate`] on a static world.
     pub fn evaluate_alive(&self, fraction: f64) -> Vec<f64> {
-        self.evaluate(fraction)
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| self.population.is_alive(NodeId::new(i as u32)))
-            .map(|(_, x)| x)
-            .collect()
+        self.evaluate_sources(
+            self.population.ids_alive(),
+            PropagationMode::Analytic,
+            fraction,
+        )
     }
 
     /// Like [`PerigeeEngine::evaluate`] but measures under the active
     /// [`PropagationMode`] — e.g. with INV/GETDATA round trips and
     /// bandwidth-limited block transfers included.
-    ///
-    /// Like [`evaluate_topology_multi`], the per-source simulations run
-    /// through one frozen [`TopologyView`] with per-worker scratches over
-    /// the rayon pool; values land in id order either way.
     pub fn evaluate_in_mode(&self, fraction: f64) -> Vec<f64> {
-        match self.mode {
-            PropagationMode::Analytic => self.evaluate(fraction),
-            PropagationMode::Gossip(cfg) => {
-                let n = self.population.len();
-                let view = TopologyView::new(&self.topology, &self.latency, &self.population);
-                let view = &view;
-                let chunk_count = rayon::current_num_threads().clamp(1, n.max(1));
-                let chunk_size = n.max(1).div_ceil(chunk_count);
-                let sources: Vec<u32> = (0..n as u32).collect();
-                let chunks: Vec<&[u32]> = sources.chunks(chunk_size).collect();
-                let parts: Vec<Vec<f64>> = chunks
-                    .par_iter()
-                    .map(|chunk| {
-                        let mut scratch =
-                            GossipScratch::with_capacity(view.len(), view.directed_edge_count());
-                        let mut coverage = [SimTime::ZERO];
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for &src in *chunk {
-                            view.gossip_into(NodeId::new(src), &cfg, &mut scratch);
-                            scratch.coverage_times_into(view, &[fraction], &mut coverage);
-                            out.push(coverage[0].as_ms());
-                        }
-                        out
-                    })
-                    .collect();
-                parts.into_iter().flatten().collect()
-            }
-        }
+        self.evaluate_sources(self.population.ids(), self.mode, fraction)
+    }
+
+    /// λ(`fraction`) from each of `sources` under `mode`, in source
+    /// order, over a fresh snapshot of the current world (see
+    /// [`evaluate_view`]).
+    fn evaluate_sources(
+        &self,
+        sources: impl Iterator<Item = NodeId>,
+        mode: PropagationMode,
+        fraction: f64,
+    ) -> Vec<f64> {
+        let view = TopologyView::new(&self.topology, &self.latency, &self.population);
+        let sources: Vec<NodeId> = sources.collect();
+        evaluate_view(&view, mode, &sources, &[fraction]).swap_remove(0)
     }
 
     /// Refills `v`'s free outgoing slots with random exploration peers.
     /// Each successful `connect` creates a brand-new communication edge
     /// (duplicates in either direction are rejected by the topology), so
-    /// when `added` is given every new undirected edge is logged for the
+    /// every new undirected edge is logged into `added` for the
     /// incremental view patch.
     fn fill_random_connections<R: Rng>(
         &mut self,
         v: NodeId,
         rng: &mut R,
-        mut added: Option<&mut Vec<(NodeId, NodeId)>>,
+        added: &mut Vec<(NodeId, NodeId)>,
     ) {
         let n = self.population.len() as u32;
         let dout = self
@@ -1940,28 +1861,81 @@ impl<L: LatencyModel> PerigeeEngine<L> {
                 }
             }
             if self.topology.connect(v, u).is_ok() {
-                if let Some(log) = added.as_deref_mut() {
-                    log.push((v, u));
-                }
+                added.push((v, u));
             }
         }
     }
 }
 
-/// The per-node drop computation shared by the sequential and parallel
-/// scoring phases: for every adopting node in `ids` with outgoing
-/// connections, asks `retain` which to keep and collects the rest. Keeping
-/// this body in one place is what guarantees the two phases can only
-/// differ in the retain call itself.
+/// Every adopter's scoring decision over the round's observations: the
+/// connections each node in `adopters` gives up, in id order. Nodes
+/// score independently, so the id range fans out over the rayon pool in
+/// contiguous chunks ([`workers`]) and the chunks merge in order, which
+/// reproduces a sequential loop exactly. Stateless strategies
+/// (Vanilla/Subset — no cross-round state, no RNG) are shared
+/// immutably; stateful ones (UCB) split into a shared scorer plus
+/// disjoint per-node `&mut` histories
+/// ([`SelectionStrategy::split_stateful`]), so each worker mutates only
+/// its own chunk's state. Neither path consumes RNG.
+///
+/// # Panics
+///
+/// Panics if the strategy is neither stateless nor splittable (no
+/// [`ScoringMethod`] builds one), or if its split state does not cover
+/// every node.
+fn score_drops(
+    strategy: &mut dyn SelectionStrategy,
+    topology: &Topology,
+    adopters: &[bool],
+    observations: &RoundStore,
+) -> Vec<(NodeId, Vec<NodeId>)> {
+    let n = adopters.len();
+    let chunk = n.max(1).div_ceil(workers(n));
+    let parts: Vec<Vec<(NodeId, Vec<NodeId>)>> = if strategy.is_stateless() {
+        let strategy = &*strategy;
+        (0..n.div_ceil(chunk))
+            .into_par_iter()
+            .map(|c| {
+                let ids = c * chunk..((c + 1) * chunk).min(n);
+                compute_drops(ids, adopters, topology, |v, outgoing| {
+                    strategy.retain_stateless(v, outgoing, observations.node(v))
+                })
+            })
+            .collect()
+    } else {
+        let StatefulSplit { scorer, states } = strategy
+            .split_stateful()
+            .expect("every strategy is stateless or splits its per-node state");
+        assert_eq!(states.len(), n, "per-node state must cover every node");
+        rayon::par_map_chunks_mut(states, chunk, |c, states| {
+            let base = c * chunk;
+            compute_drops(
+                base..base + states.len(),
+                adopters,
+                topology,
+                |v, outgoing| {
+                    let state = &mut states[v.index() - base];
+                    scorer.retain_stateful(v, outgoing, observations.node(v), state)
+                },
+            )
+        })
+    };
+    parts.into_iter().flatten().collect()
+}
+
+/// The per-node drop computation of both scoring fan-outs: for every
+/// adopting node in `ids` with outgoing connections, asks `retain` which
+/// to keep and collects the rest, in outgoing order. Keeping this body
+/// in one place is what guarantees the two fan-outs can only differ in
+/// the retain call itself.
 fn compute_drops(
-    ids: impl Iterator<Item = u32>,
+    ids: std::ops::Range<usize>,
     adopters: &[bool],
     topology: &Topology,
     mut retain: impl FnMut(NodeId, &[NodeId]) -> Vec<NodeId>,
 ) -> Vec<(NodeId, Vec<NodeId>)> {
     let mut drops = Vec::new();
-    for i in ids {
-        let v = NodeId::new(i);
+    for v in ids.map(|i| NodeId::new(i as u32)) {
         if !adopters[v.index()] {
             continue;
         }
@@ -1970,7 +1944,10 @@ fn compute_drops(
             continue;
         }
         let retained = retain(v, &outgoing);
-        let dropped = diff_drops(&outgoing, &retained);
+        let dropped: Vec<NodeId> = outgoing
+            .into_iter()
+            .filter(|u| !retained.contains(u))
+            .collect();
         if !dropped.is_empty() {
             drops.push((v, dropped));
         }
@@ -1978,73 +1955,60 @@ fn compute_drops(
     drops
 }
 
-/// The connections a retain decision gives up: `outgoing` minus
-/// `retained`, in outgoing order — shared by every scoring path so drops
-/// can only differ if the retain calls themselves do.
-fn diff_drops(outgoing: &[NodeId], retained: &[NodeId]) -> Vec<NodeId> {
-    outgoing
-        .iter()
-        .copied()
-        .filter(|u| !retained.contains(u))
-        .collect()
+/// The one evaluation fan-out: λ for each of `fractions` with every one
+/// of `sources` as block source, over `view` under `mode`. The sources
+/// split into contiguous chunks ([`workers`]) that run across the rayon
+/// pool, each on one reusable [`BlockSim`]; values land in source order,
+/// so the output is identical to a sequential loop. Returns one vector
+/// per fraction, in the order given.
+fn evaluate_view(
+    view: &TopologyView,
+    mode: PropagationMode,
+    sources: &[NodeId],
+    fractions: &[f64],
+) -> Vec<Vec<f64>> {
+    let chunk = sources.len().max(1).div_ceil(workers(sources.len()));
+    let chunks: Vec<&[NodeId]> = sources.chunks(chunk).collect();
+    let parts: Vec<Vec<Vec<f64>>> = chunks
+        .par_iter()
+        .map(|chunk| {
+            let mut sim = BlockSim::new(mode, view, 1);
+            let mut coverage = vec![SimTime::ZERO; fractions.len()];
+            let mut out = vec![Vec::with_capacity(chunk.len()); fractions.len()];
+            for &source in *chunk {
+                sim.run(view, source, None);
+                sim.coverage_times_into(view, fractions, &mut coverage);
+                for (column, c) in out.iter_mut().zip(&coverage) {
+                    column.push(c.as_ms());
+                }
+            }
+            out
+        })
+        .collect();
+    let mut out = vec![Vec::with_capacity(sources.len()); fractions.len()];
+    for part in parts {
+        for (column, values) in out.iter_mut().zip(part) {
+            column.extend(values);
+        }
+    }
+    out
 }
 
-/// Evaluates λ(`fraction`) for every node as block source on a static
-/// topology — the measurement behind every delay-curve figure.
-pub fn evaluate_topology<L: LatencyModel + ?Sized>(
-    topology: &Topology,
-    latency: &L,
-    population: &Population,
-    fraction: f64,
-) -> Vec<f64> {
-    evaluate_topology_multi(topology, latency, population, &[fraction])
-        .pop()
-        .expect("one fraction requested")
-}
-
-/// Like [`evaluate_topology`] but measures several coverage fractions from
-/// a single flood per source (the paper reports both 90% and 50%).
-/// Returns one per-node vector per fraction, in the order given.
-///
-/// Floods one [`TopologyView`] snapshot from every source, fanning the
-/// independent sources across the rayon pool; per-source values land in id
-/// order, so the output is identical to the sequential computation.
+/// Evaluates λ for each of `fractions` with every node as block source
+/// on a static topology — the measurement behind every delay-curve
+/// figure — from a single flood per source (the paper reports both 90%
+/// and 50%). Returns one per-node vector per fraction, in the order
+/// given; a single-fraction call equals [`PerigeeEngine::evaluate`] on
+/// the same world.
 pub fn evaluate_topology_multi<L: LatencyModel + ?Sized>(
     topology: &Topology,
     latency: &L,
     population: &Population,
     fractions: &[f64],
 ) -> Vec<Vec<f64>> {
-    let n = population.len();
     let view = TopologyView::new(topology, latency, population);
-    let view = &view;
-    let chunk_count = rayon::current_num_threads().clamp(1, n.max(1));
-    let chunk_size = n.max(1).div_ceil(chunk_count);
-    let sources: Vec<u32> = (0..n as u32).collect();
-    let chunks: Vec<&[u32]> = sources.chunks(chunk_size).collect();
-    let parts: Vec<Vec<Vec<f64>>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut scratch = BroadcastScratch::with_capacity(n);
-            let mut coverage = vec![SimTime::ZERO; fractions.len()];
-            let mut out = vec![Vec::with_capacity(chunk.len()); fractions.len()];
-            for &src in *chunk {
-                view.broadcast_into(NodeId::new(src), &mut scratch);
-                scratch.coverage_times_into(view, fractions, &mut coverage);
-                for (k, &c) in coverage.iter().enumerate() {
-                    out[k].push(c.as_ms());
-                }
-            }
-            out
-        })
-        .collect();
-    let mut out = vec![Vec::with_capacity(n); fractions.len()];
-    for part in parts {
-        for (k, column) in part.into_iter().enumerate() {
-            out[k].extend(column);
-        }
-    }
-    out
+    let sources: Vec<NodeId> = population.ids().collect();
+    evaluate_view(&view, PropagationMode::Analytic, &sources, fractions)
 }
 
 #[cfg(test)]

@@ -20,9 +20,12 @@
 //!   through the split-borrow `split_stateful` API that hands each node a
 //!   disjoint `&mut` slice of its own connection history;
 //! * [`engine`] — [`PerigeeEngine`], Algorithm 1's round loop
-//!   (observe → score → retain best → explore), including incremental
-//!   deployment; the round's CSR snapshot is carried across rounds and
-//!   patched in place with the net rewiring delta instead of rebuilt;
+//!   (observe → score → retain best → explore) as a pipeline of named
+//!   phases, including incremental deployment; the round's CSR snapshot
+//!   is carried across rounds and patched in place with the net rewiring
+//!   delta instead of rebuilt. Every fan-out — blocks, traffic, scoring
+//!   and evaluation — sizes its chunks by one rule (one per rayon
+//!   thread), so a pinned 1-thread pool is the sequential run;
 //! * [`adversary`] — free-rider / eclipse / throttling attacker models.
 //!
 //! ## Memory and scale
@@ -45,7 +48,8 @@
 //! splits a round's blocks into per-worker workspaces that are merged
 //! in block order afterwards, so **any shard count produces
 //! bit-identical output** — 1, 2 and 8 shards are interchangeable, and
-//! CI's `shard_smoke` gate holds the engine to it. Determinism comes
+//! `determinism.rs::sharded_rounds_are_bit_identical_to_flat_rounds`
+//! holds the engine to it. Determinism comes
 //! from the merge discipline (fixed block order, no cross-shard
 //! accumulation order dependence), not from luck.
 //!
@@ -135,8 +139,8 @@ pub use audit::{AuditCheck, AuditReport, AuditViolation};
 pub use config::PerigeeConfig;
 pub use discovery::AddressBook;
 pub use engine::{
-    evaluate_topology, evaluate_topology_multi, PerigeeEngine, PropagationMode, RoundObservations,
-    RoundStats, TrafficClassRoundStats, TrafficRoundStats,
+    evaluate_topology_multi, PerigeeEngine, PropagationMode, RoundObservations, RoundStats,
+    TrafficClassRoundStats, TrafficRoundStats,
 };
 pub use liveness::{LivenessConfig, LivenessTracker, PeerHealth};
 pub use observation::{

@@ -29,7 +29,7 @@
 //! 100 blocks, and 100× that before 1M-block rounds. Scoring, however,
 //! consumes *percentile statistics* of each edge's column, not the raw
 //! samples — so [`ObservationBackend::Sketch`] replaces the matrix with
-//! one 48-byte [`EdgeSketch`](perigee_metrics::EdgeSketch) per directed
+//! one 48-byte [`EdgeSketch`] per directed
 //! edge ([`SketchObservationStore`]): memory is `O(edges)`, independent
 //! of the round's block count.
 //!
@@ -72,7 +72,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// `Dense` is the exact reference: the full `blocks × edges` `f32`
 /// matrix. `Sketch` stores one constant-space
-/// [`EdgeSketch`](perigee_metrics::EdgeSketch) per directed edge —
+/// [`EdgeSketch`] per directed edge —
 /// memory independent of blocks-per-round, percentile queries
 /// approximate beyond 5 finite samples per edge (see the module docs
 /// for what each scoring strategy does with that).
@@ -226,7 +226,7 @@ impl ObservationStore {
 }
 
 /// One round's observations compressed to one
-/// [`EdgeSketch`](perigee_metrics::EdgeSketch) per directed edge over
+/// [`EdgeSketch`] per directed edge over
 /// the same CSR skeleton as the dense [`ObservationStore`] — 48 bytes
 /// per edge regardless of how many blocks the round mined.
 ///

@@ -302,9 +302,11 @@ pub trait SelectionStrategy: Send + Sync {
     }
 
     /// Splits a *stateful* strategy into shared scoring parameters and
-    /// per-node state (`Some` for UCB, `None` for stateless strategies
-    /// and strategies whose state does not partition by node). The engine
-    /// uses the split to run `retain` for all nodes concurrently: every
+    /// per-node state (`Some` for UCB, `None` for stateless strategies).
+    /// The engine scores through this split or through
+    /// [`SelectionStrategy::retain_stateless`], so a strategy it runs
+    /// must offer one of the two. The split lets it run `retain` for
+    /// all nodes concurrently: every
     /// node's call gets a disjoint `&mut` slice of its own history, so
     /// the fan-out is bit-identical to the sequential loop by
     /// construction.

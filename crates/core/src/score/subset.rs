@@ -56,7 +56,7 @@ impl SubsetScoring {
     ///
     /// **Dense-only** (panics on the sketch backend): the per-block joint
     /// minimum is exactly the statistic a marginal per-edge sketch cannot
-    /// reconstruct — see [`SubsetScoring::select`]'s sketch fallback.
+    /// reconstruct — see the sketch fallback of `SubsetScoring::select`.
     pub fn group_score(&self, observations: &NodeObservations<'_>, group: &[NodeId]) -> f64 {
         if group.is_empty() {
             return f64::INFINITY;

@@ -68,7 +68,12 @@ const MAGIC: [u8; 4] = *b"PRGS";
 /// the priority-queue-kind byte after the scoring method (the engine has
 /// one queue). A v3 body still decodes: its queue byte must be 0 (binary
 /// heap) or 1 (calendar) and is discarded, which is exact because both
-/// kinds pop in the same order and so gave bit-identical runs. Versions
+/// kinds pop in the same order and so gave bit-identical runs. Both
+/// versions keep a bool after the scoring method (v3: after the queue
+/// byte) that once held the engine's parallel fan-out switch: rounds
+/// are bit-identical across thread counts, so the engine lost the
+/// switch, writers put `true` there and readers check it is a bool and
+/// discard it. Versions
 /// 1 and 2 are rejected with [`SnapshotError::UnsupportedVersion`] —
 /// re-run the capture, don't guess at a world whose id space may have
 /// been renumbered.
@@ -129,7 +134,6 @@ pub struct RunSnapshot {
     pub(crate) compaction_epoch: u64,
     pub(crate) config: PerigeeConfig,
     pub(crate) method: ScoringMethod,
-    pub(crate) parallel: bool,
     pub(crate) mode: PropagationMode,
     pub(crate) adopters: Vec<bool>,
     pub(crate) strategy_state: Vec<u8>,
@@ -185,7 +189,8 @@ impl RunSnapshot {
         self.compaction_epoch.encode(out);
         self.config.encode(out);
         self.method.encode(out);
-        self.parallel.encode(out);
+        // The retired parallel-fan-out flag's slot (see FORMAT_VERSION).
+        true.encode(out);
         self.mode.encode(out);
         self.adopters.encode(out);
         self.strategy_state.encode(out);
@@ -210,13 +215,13 @@ impl RunSnapshot {
         if version == V3 && u8::decode(r)? > 1 {
             return Err(DecodeError::new("invalid queue-kind tag").into());
         }
+        bool::decode(r)?;
         let snapshot = RunSnapshot {
             round,
             blocks_simulated,
             compaction_epoch,
             config,
             method,
-            parallel: bool::decode(r)?,
             mode: Decode::decode(r)?,
             adopters: Vec::decode(r)?,
             strategy_state: Vec::decode(r)?,
@@ -356,7 +361,6 @@ mod tests {
             compaction_epoch: 0,
             config: PerigeeConfig::default(),
             method: ScoringMethod::Subset,
-            parallel: true,
             mode: PropagationMode::Analytic,
             adopters: vec![true, true],
             strategy_state: Vec::new(),

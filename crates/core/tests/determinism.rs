@@ -47,6 +47,15 @@ fn engine_on(
     (engine, rng)
 }
 
+/// A pinned 1-thread rayon pool: every fan-out inside it runs
+/// sequentially, in one lane.
+fn sequential() -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+}
+
 /// Parallel fan-out vs forced single-thread: every per-round statistic is
 /// the same IEEE-754 value, and the learned topologies match edge for
 /// edge.
@@ -54,23 +63,21 @@ fn engine_on(
 fn parallel_rounds_are_bit_identical_to_sequential() {
     let (mut par, mut rng_par) = engine(150, 30, 42);
     let (mut seq, mut rng_seq) = engine(150, 30, 42);
-    par.set_parallel(true);
-    seq.set_parallel(false);
+    let one = sequential();
     for _ in 0..4 {
         let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let b = one.install(|| seq.run_round(&mut rng_seq));
         assert_eq!(a, b, "RoundStats must match bit for bit");
     }
     assert_eq!(par.topology(), seq.topology());
     assert_eq!(
         par.evaluate(0.9),
-        seq.evaluate(0.9),
+        one.install(|| seq.evaluate(0.9)),
         "static evaluation must not depend on the thread count"
     );
 }
 
-/// The same holds when the thread count is pinned through the rayon pool
-/// rather than the engine flag.
+/// The same holds for one propagation phase outside a round.
 #[test]
 fn pinned_thread_pool_matches_default_pool() {
     let (engine_a, mut rng) = engine(120, 25, 7);
@@ -125,10 +132,10 @@ fn gossip_mode_is_thread_count_independent() {
     let (mut seq, mut rng_seq) = engine(80, 12, 23);
     par.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
     seq.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
-    seq.set_parallel(false);
+    let one = sequential();
     for _ in 0..3 {
         let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let b = one.install(|| seq.run_round(&mut rng_seq));
         assert_eq!(a, b);
     }
     assert_eq!(par.topology(), seq.topology());
@@ -463,15 +470,14 @@ fn fault_injected_gossip_rounds_are_thread_count_independent() {
 fn ucb_parallel_rounds_are_bit_identical_to_sequential() {
     let (mut par, mut rng_par) = engine_with(150, 2, 91, ScoringMethod::Ucb);
     let (mut seq, mut rng_seq) = engine_with(150, 2, 91, ScoringMethod::Ucb);
-    par.set_parallel(true);
-    seq.set_parallel(false);
+    let one = sequential();
     for _ in 0..8 {
         let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let b = one.install(|| seq.run_round(&mut rng_seq));
         assert_eq!(a, b, "UCB RoundStats must match bit for bit");
     }
     assert_eq!(par.topology(), seq.topology());
-    assert_eq!(par.evaluate(0.9), seq.evaluate(0.9));
+    assert_eq!(par.evaluate(0.9), one.install(|| seq.evaluate(0.9)));
 }
 
 /// Sharded analytic floods are a pure scheduling change: whole learning

@@ -254,6 +254,52 @@ fn registry_accumulates_round_records_and_handle_round_trips() {
     );
 }
 
+/// A traced round's phases are `run_round`'s pipeline, named and
+/// ordered as roundbench reads them (`engine.{phase}_s`). A record keeps
+/// one entry per phase name with its laps summed: `rewiring` laps twice,
+/// for the disconnections before churn and the refill after it, so it
+/// shows once, between `liveness` and `churn`. `audit` is appended only
+/// on rounds that complete an audit period.
+#[test]
+fn trace_phases_follow_the_round_pipeline() {
+    const PIPELINE: [&str; 10] = [
+        "mine",
+        "view",
+        "fault_compile",
+        "propagation",
+        "traffic",
+        "scoring",
+        "liveness",
+        "rewiring",
+        "churn",
+        "view_patch",
+    ];
+    const AUDIT_EVERY: u64 = 2;
+    let mut rng = StdRng::seed_from_u64(5);
+    let pop = PopulationBuilder::new(40).build(&mut rng).unwrap();
+    let lat = GeoLatencyModel::new(&pop, 5);
+    let topo = RandomBuilder::new().build(&pop, &lat, ConnectionLimits::paper_default(), &mut rng);
+    let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
+    cfg.blocks_per_round = 4;
+    let mut e = PerigeeEngine::new(pop, lat, topo, ScoringMethod::Subset, cfg).unwrap();
+    let sink = CollectingSink::default();
+    e.set_telemetry(RunTelemetry::new("phases", 5).with_sink(Box::new(sink.clone())));
+    e.set_audit_every(AUDIT_EVERY as usize);
+    e.run_rounds(4, &mut rng);
+
+    let records = sink.0.lock().unwrap().clone();
+    assert_eq!(records.len(), 4);
+    for rec in &records {
+        let names: Vec<&str> = rec.phases_s.iter().map(|(n, _)| n.as_str()).collect();
+        let mut expected = PIPELINE.to_vec();
+        if (rec.round + 1) % AUDIT_EVERY == 0 {
+            expected.push("audit");
+        }
+        assert_eq!(names, expected, "round {}", rec.round);
+    }
+    assert_eq!(e.audits_run(), 2);
+}
+
 /// Counter accuracy, flood mode: the totals the parallel round path
 /// harvests equal a direct sequential `broadcast_into` sweep over the
 /// same miners with one scratch — merge order cannot matter.

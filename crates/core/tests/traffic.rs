@@ -83,8 +83,8 @@ const TRAFFIC_WINDOW: usize = 128;
 type Trajectory = (Vec<RoundStats>, TrafficRoundStats, Vec<f64>);
 
 /// Runs `rounds` rounds of `build()`'s engine under every execution
-/// variant: the default, the sequential switch, and pinned 1/2/8-thread
-/// rayon pools. Returns the default run first.
+/// variant: the default pool and pinned 1/2/8-thread rayon pools (the
+/// 1-thread pool is the sequential run). Returns the default run first.
 fn trajectories<L, F>(rounds: usize, build: F) -> Vec<Trajectory>
 where
     L: perigee_netsim::LatencyModel,
@@ -97,9 +97,6 @@ where
     };
     let (mut engine, mut rng) = build();
     let mut out = vec![run(&mut engine, &mut rng)];
-    let (mut engine, mut rng) = build();
-    engine.set_parallel(false);
-    out.push(run(&mut engine, &mut rng));
     // Pinned pools: the window layout changes, the results must not.
     for threads in [1, 2, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -126,8 +123,8 @@ fn assert_all_equal(runs: &[Trajectory]) {
     }
 }
 
-/// Combined rounds are bit-identical across the parallel/sequential
-/// switch and pinned 1/2/8-thread rayon pools — the
+/// Combined rounds are bit-identical across the default pool and
+/// pinned 1/2/8-thread rayon pools — the
 /// same guarantee the blocks-only engine gives, now under ~10× more
 /// messages per round — on both observation backends.
 #[test]
@@ -207,8 +204,8 @@ fn traffic_stats_are_backend_independent_and_cover_every_class() {
 }
 
 /// Traffic composes with the message-level block path: a gossip-mode
-/// engine with a workload installed still runs bit-identically across
-/// the parallel switch.
+/// engine with a workload installed still runs bit-identically on a
+/// pinned 1-thread pool.
 #[test]
 fn gossip_block_mode_composes_with_traffic() {
     let (mut par, mut rng_par) = engine_with(50, 5, 41, ObservationBackend::Dense);
@@ -216,10 +213,13 @@ fn gossip_block_mode_composes_with_traffic() {
     for engine in [&mut par, &mut seq] {
         engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.001)));
     }
-    seq.set_parallel(false);
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
     for _ in 0..2 {
         let a = par.run_round(&mut rng_par);
-        let b = seq.run_round(&mut rng_seq);
+        let b = one.install(|| seq.run_round(&mut rng_seq));
         assert_eq!(a, b);
     }
     assert_eq!(par.last_traffic_stats(), seq.last_traffic_stats());

@@ -246,7 +246,7 @@ impl SpoofingResult {
 /// never looks at locations — it scores the spoofers' actual deliveries
 /// and drops them.
 pub fn run_spoofing(scenario: &Scenario, seed: u64, spoofers: usize) -> SpoofingResult {
-    use perigee_core::evaluate_topology;
+    use perigee_core::evaluate_topology_multi;
     use perigee_topology::{GeographicBuilder, TopologyBuilder};
 
     let world = build_world(scenario, seed);
@@ -257,7 +257,7 @@ pub fn run_spoofing(scenario: &Scenario, seed: u64, spoofers: usize) -> Spoofing
     let clean_topo =
         GeographicBuilder::new().build(&world.population, &world.latency, limits, &mut rng);
     let geographic_clean_ms = perigee_metrics::percentile_or_inf(
-        &evaluate_topology(&clean_topo, &world.latency, &world.population, 0.9),
+        &evaluate_topology_multi(&clean_topo, &world.latency, &world.population, &[0.9])[0],
         50.0,
     );
 
@@ -271,7 +271,7 @@ pub fn run_spoofing(scenario: &Scenario, seed: u64, spoofers: usize) -> Spoofing
         .with_spoofed(spoofed.clone())
         .build(&population, &world.latency, limits, &mut rng);
     let geographic_spoofed_ms = perigee_metrics::percentile_or_inf(
-        &evaluate_topology(&spoofed_topo, &world.latency, &population, 0.9),
+        &evaluate_topology_multi(&spoofed_topo, &world.latency, &population, &[0.9])[0],
         50.0,
     );
 

@@ -110,6 +110,35 @@ fn quick_resume_roundtrip_exits_zero() {
 }
 
 #[test]
+fn single_round_scale_skips_the_ablation_and_exits_zero() {
+    // The dense-vs-sketch ablation measures learning from round 0 to the
+    // last round, so a one-round sweep has nothing to compare.
+    let dir = std::env::temp_dir().join("repro-cli-scale-one-round");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = repro(&[
+        "scale",
+        "--nodes",
+        "40",
+        "--rounds",
+        "1",
+        "--blocks",
+        "4",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "scale --rounds 1 must succeed, stderr: {}",
+        stderr(&out)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("ablation skipped"), "got: {stdout}");
+    assert!(dir.join("scale.csv").exists());
+    assert!(!dir.join("scale_backends.csv").exists());
+}
+
+#[test]
 fn failed_csv_write_exits_nonzero() {
     // Point --out at a regular file: every CSV write inside must fail,
     // and a failed artifact write is a failed command (satellite of the

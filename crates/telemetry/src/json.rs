@@ -3,12 +3,19 @@
 //! The workspace vendors a work-alike `serde` without a JSON backend, so
 //! the trace layer carries its own emitter helpers and a small
 //! recursive-descent parser. The parser accepts the full JSON grammar
-//! (objects, arrays, strings with escapes, numbers, booleans, null); the
+//! (objects, arrays, strings with escapes, numbers, booleans, null) up to
+//! 128 levels of nesting; the
 //! emitter side lives with the types that serialize themselves (see
 //! [`crate::TraceRecord::to_json`]) and only needs the string-escape and
 //! number-formatting helpers here.
 
 use std::fmt;
+
+/// How many arrays and objects may nest inside each other. The parser
+/// recurses once per level, so a deeper input — a line of 100,000 `[`,
+/// say — is refused with a [`JsonError`] instead of overflowing the
+/// stack. A trace record nests two levels deep.
+const MAX_DEPTH: usize = 128;
 
 /// Escapes `s` for embedding inside a JSON string literal (no quotes
 /// added).
@@ -85,11 +92,13 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Parses `text` as a single JSON value (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). Arrays and objects nested more than
+    /// 128 deep are an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -164,6 +173,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -204,8 +215,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -213,6 +224,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -431,6 +456,22 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("1 2").is_err());
         assert!(JsonValue::parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = JsonValue::parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert_eq!(
+            JsonValue::parse(&past_limit).unwrap_err().offset,
+            MAX_DEPTH,
+            "refused at the first bracket past the limit"
+        );
     }
 
     #[test]

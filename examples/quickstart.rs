@@ -25,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Evaluate the random baseline: for every possible miner, how long
     // until 90% of the network's hash power has the block?
     let baseline: DelayCurve =
-        perigee::core::evaluate_topology(&random_topology, &latency, &population, 0.9)
+        perigee::core::evaluate_topology_multi(&random_topology, &latency, &population, &[0.9])
+            .swap_remove(0)
             .into_iter()
             .collect();
 

@@ -201,7 +201,7 @@ fn gossip_mode_round_has_monotone_coverage() {
     );
     let mut cfg = PerigeeConfig::paper_default(ScoringMethod::Subset);
     cfg.blocks_per_round = 20;
-    let build = |parallel: bool| {
+    let build = || {
         let mut engine = PerigeeEngine::new(
             world.population.clone(),
             world.latency.clone(),
@@ -211,18 +211,21 @@ fn gossip_mode_round_has_monotone_coverage() {
         )
         .expect("valid engine");
         engine.set_propagation_mode(PropagationMode::Gossip(GossipConfig::inv_getdata(0.0)));
-        engine.set_parallel(parallel);
         engine
     };
-    let mut engine = build(true);
-    let mut reference = build(false);
+    let mut engine = build();
+    let mut reference = build();
 
     let mut rng_ref = rand::rngs::StdRng::seed_from_u64(77);
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
     let stats = engine.run_round(&mut rng);
+    let sequential = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| reference.run_round(&mut rng_ref));
     assert_eq!(
-        stats,
-        reference.run_round(&mut rng_ref),
+        stats, sequential,
         "parallel round diverged from the sequential one"
     );
     assert_eq!(engine.topology(), reference.topology());
